@@ -12,22 +12,19 @@ from .metrics import (BoundReport, evaluate_bounds, l2_error, linf_error,
 from .model import (DiscordanceReport, PhaseVector, SyncInstance, TailStats,
                     assemble_instance, is_discordant, noise_tail_stats,
                     philox_stream, random_signal, sample_wigner, trial_seed)
-from .oracle import brute_force_qp, brute_force_real
 from .solver import (SolverOptions, SolverReport, escape_direction,
                      solve_second_order, spectral_init)
-from .z2 import (RecoveryCheck, SignVector, exact_recovery_check,
-                 random_signs, real_certificate, sample_real_wigner)
+from .z2 import SignVector, random_signs, real_certificate, sample_real_wigner
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError", "BoundReport", "CertificateReport", "DiscordanceReport",
     "EigenResult", "EigensolverError", "HermitianMatrix", "PhaseVector",
-    "RecoveryCheck", "SignVector", "SolverOptions", "SolverReport",
-    "SyncInstance", "TailStats", "TangentVector",
-    "align_global_phase", "assemble_instance", "brute_force_qp",
-    "brute_force_real", "build_certificate", "certify", "escape_direction",
-    "evaluate_bounds", "exact_recovery_check", "extreme_eigs", "hessian_vec",
+    "SignVector", "SolverOptions", "SolverReport", "SyncInstance", "TailStats",
+    "TangentVector", "align_global_phase", "assemble_instance",
+    "build_certificate", "certify", "escape_direction", "evaluate_bounds",
+    "extreme_eigs", "hessian_vec",
     "is_discordant", "l2_error", "linf_error", "noise_tail_stats",
     "operator_norm", "philox_stream", "project_tangent", "quad_form",
     "random_signal", "random_signs", "real_certificate", "retract",

@@ -6,7 +6,9 @@ objective, the Hermitian matrix ``S = Re diag(C x xbar) - C`` satisfies
 semidefinite, ``x x*`` solves the relaxation ``max tr(C X)`` over unit
 diagonal PSD matrices, so the estimator is globally optimal (tight). If in
 addition the second smallest eigenvalue is strictly positive, ``S`` has rank
-``n - 1`` and ``x x*`` is the unique solution.
+``n - 1`` and ``x x*`` is the unique solution. :func:`verdict` makes that
+test for any certificate, including the closed form at planted signs in the
+real case.
 """
 
 from __future__ import annotations
@@ -21,6 +23,25 @@ from .model import PhaseVector
 RESIDUAL_TOL = 1e-9
 PSD_TOL = -1e-14
 RANK_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class CertTolerances:
+    """Certificate gates, each scaled by n before use. They must carry their
+    intended signs (``residual_tol > 0``, ``psd_tol < 0``, ``rank_tol > 0``);
+    anything else is rejected rather than silently flipping a verdict."""
+
+    residual_tol: float = RESIDUAL_TOL
+    psd_tol: float = PSD_TOL
+    rank_tol: float = RANK_TOL
+
+    def __post_init__(self):
+        if self.residual_tol <= 0.0:
+            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if self.psd_tol >= 0.0:
+            raise ValueError(f"psd_tol must be negative, got {self.psd_tol}")
+        if self.rank_tol <= 0.0:
+            raise ValueError(f"rank_tol must be positive, got {self.rank_tol}")
 
 
 @dataclass(frozen=True)
@@ -58,29 +79,13 @@ def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMat
     return HermitianMatrix(s)
 
 
-def certify(
-    data: HermitianMatrix,
-    point: PhaseVector,
-    residual_tol: float = RESIDUAL_TOL,
-    psd_tol: float = PSD_TOL,
-    rank_tol: float = RANK_TOL,
-) -> CertificateReport:
-    """Build the certificate at ``point`` and test tightness and uniqueness.
-
-    Tolerances must carry their intended signs (``residual_tol > 0``,
-    ``psd_tol < 0``, ``rank_tol > 0``); anything else is rejected rather than
-    silently flipping a verdict. Eigensolver failure is reported in-band via
-    ``error`` with both flags false.
-    """
-    if residual_tol <= 0.0:
-        raise ValueError(f"residual_tol must be positive, got {residual_tol}")
-    if psd_tol >= 0.0:
-        raise ValueError(f"psd_tol must be negative, got {psd_tol}")
-    if rank_tol <= 0.0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol}")
-    s = build_certificate(data, point)
+def verdict(s: HermitianMatrix, kernel: np.ndarray, tolerances: CertTolerances) -> CertificateReport:
+    """Test tightness and uniqueness of a certificate ``s`` built at the
+    candidate ``kernel``, which ``s`` should annihilate; see
+    :class:`CertificateReport` for the gates. Eigensolver failure is
+    reported in-band via ``error`` with both flags false."""
     n = s.n
-    residual = float(np.linalg.norm(s.mat @ point.vec))
+    residual = float(np.linalg.norm(s.mat @ kernel))
     diag_min = float(np.min(np.diag(s.mat).real))
     try:
         eig = extreme_eigs(s, 2, 0)
@@ -91,9 +96,18 @@ def certify(
         )
     min_eig = float(eig.values[0])
     second_eig = float(eig.values[1])
-    tight = bool(residual <= residual_tol * n and min_eig >= psd_tol * n)
-    unique = bool(tight and second_eig >= rank_tol * n)
+    tight = bool(residual <= tolerances.residual_tol * n and min_eig >= tolerances.psd_tol * n)
+    unique = bool(tight and second_eig >= tolerances.rank_tol * n)
     return CertificateReport(
         residual=residual, min_eig=min_eig, second_eig=second_eig,
         diag_min=diag_min, tight=tight, unique=unique,
     )
+
+
+def certify(
+    data: HermitianMatrix,
+    point: PhaseVector,
+    tolerances: CertTolerances = CertTolerances(),
+) -> CertificateReport:
+    """Build the certificate at ``point`` and test tightness and uniqueness."""
+    return verdict(build_certificate(data, point), point.vec, tolerances)

@@ -5,21 +5,23 @@ estimate against a stored instance, ``grid`` / ``real-grid`` for Monte-Carlo
 sweeps from a config file, ``curves`` for the overlay thresholds, and
 ``check-noise`` for tail statistics of the noise-regularity events.
 
-Exit codes: 0 on success, 2 when ``solve`` fails to converge, 1 on I/O or
-config errors. ``PHASESYNC_WORKERS`` overrides the worker count of a grid
-run without touching the config file.
+Exit codes: 0 on success, 1 on I/O or config errors, 2 when ``solve`` fails
+to converge, 3 when the eigensolver fails inside ``certify``.
+``PHASESYNC_WORKERS`` overrides the worker count of a grid run without
+touching the config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
-from .certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, certify
+from .certificate import CertTolerances, certify
 from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, WORKERS_ENV_VAR, ConfigError,
-                         GridConfig, aggregate_path, emit_curves, parse_grid_config,
+                         aggregate_path, emit_curves, parse_grid_config,
                          run_grid, run_trial_detailed, trial_csv_row, write_curves,
                          _fmt)
 from .model import noise_tail_stats
@@ -55,13 +57,15 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     inst = read_instance(args.instance)
     x = read_phase_vector(args.x)
-    report = certify(inst.C, x, residual_tol=args.residual_tol,
-                     psd_tol=args.psd_tol, rank_tol=args.rank_tol)
+    tolerances = CertTolerances(residual_tol=args.residual_tol, psd_tol=args.psd_tol,
+                                rank_tol=args.rank_tol)
+    report = certify(inst.C, x, tolerances)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CERT_COLUMNS)
     writer.writerow([_fmt(getattr(report, name)) for name in CERT_COLUMNS])
     if report.error is not None:
         print(f"eigensolver failure: {report.error}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -80,11 +84,7 @@ def _grid_common(args, want_case: str) -> int:
             raise ConfigError(f"bad {WORKERS_ENV_VAR} value {override!r}") from exc
         if workers < 1:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be at least 1, got {workers}")
-        config = GridConfig(
-            case=config.case, n_values=config.n_values, sigmas=config.sigmas,
-            reps=config.reps, seed_base=config.seed_base, workers=workers,
-            out=config.out, solver=config.solver, tolerances=config.tolerances,
-        )
+        config = dataclasses.replace(config, workers=workers)
     aggregates = run_grid(config)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(AGG_COLUMNS)
@@ -124,16 +124,18 @@ def _cmd_check_noise(args) -> int:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--grad-tol", type=float, default=1e-10)
-    sub.add_argument("--max-iters", type=int, default=500)
-    sub.add_argument("--escape-tol", type=float, default=1e-10)
-    sub.add_argument("--max-escapes", type=int, default=5)
+    defaults = SolverOptions()
+    sub.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
+    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    sub.add_argument("--escape-tol", type=float, default=defaults.escape_tol)
+    sub.add_argument("--max-escapes", type=int, default=defaults.max_escapes)
 
 
 def _add_cert_flags(sub) -> None:
-    sub.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
-    sub.add_argument("--psd-tol", type=float, default=PSD_TOL)
-    sub.add_argument("--rank-tol", type=float, default=RANK_TOL)
+    defaults = CertTolerances()
+    sub.add_argument("--residual-tol", type=float, default=defaults.residual_tol)
+    sub.add_argument("--psd-tol", type=float, default=defaults.psd_tol)
+    sub.add_argument("--rank-tol", type=float, default=defaults.rank_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:

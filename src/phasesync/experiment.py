@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, certify
-from .hermitian import extreme_eigs, quad_form
+from .certificate import CertTolerances, certify, verdict
+from .hermitian import quad_form
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
@@ -39,21 +39,6 @@ WORKERS_ENV_VAR = "PHASESYNC_WORKERS"
 
 class ConfigError(ValueError):
     """A grid config file is malformed or inconsistent."""
-
-
-@dataclass(frozen=True)
-class CertTolerances:
-    residual_tol: float = RESIDUAL_TOL
-    psd_tol: float = PSD_TOL
-    rank_tol: float = RANK_TOL
-
-    def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.psd_tol >= 0.0:
-            raise ValueError(f"psd_tol must be negative, got {self.psd_tol}")
-        if self.rank_tol <= 0.0:
-            raise ValueError(f"rank_tol must be positive, got {self.rank_tol}")
 
 
 @dataclass(frozen=True)
@@ -152,16 +137,12 @@ def run_trial_detailed(
     sigma: float,
     seed: int,
     rep: int = 0,
-    solver_opts: SolverOptions | None = None,
-    tolerances: CertTolerances | None = None,
+    solver_opts: SolverOptions = SolverOptions(),
+    tolerances: CertTolerances = CertTolerances(),
 ):
     """Full complex-case pipeline on one planted instance. Returns the trial
     record together with the instance and the solver report, for callers that
     need the estimate itself and not just the scalar summary."""
-    if solver_opts is None:
-        solver_opts = SolverOptions()
-    if tolerances is None:
-        tolerances = CertTolerances()
     t0 = time.perf_counter()
 
     z = random_signal(n, seed)
@@ -170,12 +151,7 @@ def run_trial_detailed(
     disc = is_discordant(w, z)
     x0 = spectral_init(inst.C)
     rep_solve = solve_second_order(inst.C, x0, signal=z, opts=solver_opts)
-    cert = certify(
-        inst.C, rep_solve.x,
-        residual_tol=tolerances.residual_tol,
-        psd_tol=tolerances.psd_tol,
-        rank_tol=tolerances.rank_tol,
-    )
+    cert = certify(inst.C, rep_solve.x, tolerances)
     bounds = evaluate_bounds(inst, rep_solve.x, discordant=disc.discordant)
     cost_z = quad_form(inst.C, z.vec)
 
@@ -201,8 +177,8 @@ def run_trial(
     sigma: float,
     seed: int,
     rep: int = 0,
-    solver_opts: SolverOptions | None = None,
-    tolerances: CertTolerances | None = None,
+    solver_opts: SolverOptions = SolverOptions(),
+    tolerances: CertTolerances = CertTolerances(),
 ) -> TrialRecord:
     """Full complex-case pipeline on one planted instance."""
     record, _, _ = run_trial_detailed(n, sigma, seed, rep=rep,
@@ -215,13 +191,11 @@ def run_real_trial(
     sigma: float,
     seed: int,
     rep: int = 0,
-    tolerances: CertTolerances | None = None,
+    tolerances: CertTolerances = CertTolerances(),
 ) -> TrialRecord:
     """Real-case trial: evaluate the closed-form certificate at the planted
     signs. No iterative solve is involved, so ``converged`` is always true
     and the cost columns both carry the planted cost."""
-    if tolerances is None:
-        tolerances = CertTolerances()
     t0 = time.perf_counter()
 
     z = random_signs(n, seed)
@@ -229,13 +203,7 @@ def run_real_trial(
     zp = PhaseVector(z.vec.astype(np.complex128))
     inst = assemble_instance(zp, w, sigma, seed)
     disc = is_discordant(w, zp)
-    s = real_certificate(z, w, sigma)
-    eig = extreme_eigs(s, 2, 0)
-    min_eig = float(eig.values[0])
-    second_eig = float(eig.values[1])
-    residual = float(np.linalg.norm(s.mat @ z.vec))
-    tight = bool(residual <= tolerances.residual_tol * n and min_eig >= tolerances.psd_tol * n)
-    unique = bool(tight and second_eig >= tolerances.rank_tol * n)
+    cert = verdict(real_certificate(z, w, sigma), z.vec, tolerances)
     bounds = evaluate_bounds(inst, zp, discordant=disc.discordant)
     cost_z = quad_form(inst.C, zp.vec)
 
@@ -244,10 +212,10 @@ def run_real_trial(
         case="real", n=n, sigma=float(sigma), rep=rep, seed=seed,
         discordant=disc.discordant,
         converged=True, beat_planted=True,
-        cost_x=cost_z, cost_z=cost_z, grad_norm=2.0 * residual,
+        cost_x=cost_z, cost_z=cost_z, grad_norm=2.0 * cert.residual,
         l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
-        min_eig_S=min_eig, second_eig_S=second_eig, residual=residual,
-        tight=tight, unique=unique,
+        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
+        tight=cert.tight, unique=cert.unique,
         lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
         suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
         runtime_ms=runtime_ms,

@@ -93,27 +93,12 @@ def retract(point: PhaseVector, tangent: TangentVector, step: float) -> PhaseVec
 
 
 def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> TangentVector:
-    """Riemannian gradient of ``g(x) = -x* C x`` at ``point``.
-
-    Computed two ways and cross-checked: the closed form
-    ``2 (Re diag(C x xbar) - C) x`` and the tangent projection of the ambient
-    gradient ``-2 C x``. The two must agree to ``1e-12 * ||C||_F * sqrt(n)``;
-    the projected form is returned.
-    """
+    """Riemannian gradient of ``g(x) = -x* C x`` at ``point``: the tangent
+    projection of the ambient gradient ``-2 C x``, which equals the closed
+    form ``2 (Re diag(C x xbar) - C) x``."""
     if data.n != point.n:
         raise ValueError("matrix and point sizes disagree")
-    x = point.vec
-    w = data.mat @ x
-    r = (w * x.conj()).real
-    s_times_x = (np.diag(r) - data.mat) @ x
-    closed = 2.0 * s_times_x
-    projected = project_tangent(point, -2.0 * w)
-    budget = 1e-12 * float(np.linalg.norm(data.mat)) * np.sqrt(point.n)
-    gap = float(np.linalg.norm(projected.dir - closed))
-    assert gap <= max(budget, 1e-300), (
-        f"gradient routes disagree: gap {gap:.3e}, budget {budget:.3e}"
-    )
-    return projected
+    return project_tangent(point, -2.0 * (data.mat @ point.vec))
 
 
 def hessian_vec(data: HermitianMatrix, point: PhaseVector, tangent: TangentVector) -> TangentVector:

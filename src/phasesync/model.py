@@ -213,8 +213,6 @@ def noise_tail_stats(
     ``exp(-n/2)`` and ``2 n^(-5/4)``."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    op_bound = opnorm_const * math.sqrt(n)
-    inf_bound = inf_const * math.sqrt(n * math.log(n))
     op_exceed = 0
     inf_exceed = 0
     for t in range(trials):
@@ -222,17 +220,17 @@ def noise_tail_stats(
         z = random_signal(n, seed)
         w = sample_wigner(n, seed)
         rep = is_discordant(w, z, opnorm_const=opnorm_const, inf_const=inf_const)
-        if rep.opnorm_W > op_bound:
+        if rep.opnorm_W > rep.opnorm_bound:
             op_exceed += 1
-        if rep.inf_Wz > inf_bound:
+        if rep.inf_Wz > rep.inf_bound:
             inf_exceed += 1
     return TailStats(
         n=n,
         trials=trials,
         opnorm_exceed_freq=op_exceed / trials,
-        opnorm_threshold=op_bound,
+        opnorm_threshold=rep.opnorm_bound,
         opnorm_prob_bound=math.exp(-n / 2.0),
         inf_exceed_freq=inf_exceed / trials,
-        inf_threshold=inf_bound,
+        inf_threshold=rep.inf_bound,
         inf_prob_bound=2.0 * n ** (-1.25),
     )

@@ -1,14 +1,14 @@
-"""Plain-text round-trip formats for matrices, phase vectors, and instances.
+"""Plain-text round-trip formats for phase vectors and instances.
 
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so a load of a dump reproduces the original bit for bit.
 
-Matrix file: first line is n, then n lines each holding 2n decimals, the
-real and imaginary part of every entry in row order. Phase vector file: the
-same with one data line. Instance bundle: header lines ``n``, ``sigma``,
-``seed``, a ``z`` line with the signal, then a ``W`` marker followed by that
-matrix's rows, then a ``C`` marker and its rows. Instance invariants are
-re-validated on load.
+Phase vector file: first line is n, then one line of 2n decimals, the real
+and imaginary part of every entry. Instance bundle: header lines ``n``,
+``sigma``, ``seed``, a ``z`` line with the signal, then a ``W`` marker
+followed by a matrix block, then a ``C`` marker and its block. A matrix
+block is a size line n and n rows in the phase vector's line format.
+Instance invariants are re-validated on load.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ def _parse_complex_row(line: str, n: int, where: str) -> np.ndarray:
     return vals[0::2] + 1j * vals[1::2]
 
 
-def write_matrix(h: HermitianMatrix, path) -> None:
-    lines = [str(h.n)]
-    for i in range(h.n):
-        lines.append(_fmt_row(h.mat[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _read_matrix_lines(lines: list[str], start: int, where: str) -> tuple[HermitianMatrix, int]:
     if start >= len(lines):
         raise ValueError(f"{where}: missing size line")
@@ -60,14 +53,6 @@ def _read_matrix_lines(lines: list[str], start: int, where: str) -> tuple[Hermit
         raise ValueError(f"{where}: expected {n} rows, file ends early")
     rows = [_parse_complex_row(lines[start + 1 + i], n, f"{where} row {i}") for i in range(n)]
     return HermitianMatrix(np.vstack(rows)), start + 1 + n
-
-
-def read_matrix(path) -> HermitianMatrix:
-    lines = Path(path).read_text().splitlines()
-    h, used = _read_matrix_lines(lines, 0, str(path))
-    if any(line.strip() for line in lines[used:]):
-        raise ValueError(f"{path}: trailing content after matrix rows")
-    return h
 
 
 def write_phase_vector(x: PhaseVector, path) -> None:
@@ -115,15 +100,12 @@ def read_instance(path) -> SyncInstance:
             raise ValueError(f"{where}: expected {key!r} line, got {lines[idx]!r}")
         return parts[1]
 
-    try:
-        n = int(expect_kv(0, "n"))
-        sigma = float(expect_kv(1, "sigma"))
-        seed = int(expect_kv(2, "seed"))
-    except ValueError:
-        raise
+    n = int(expect_kv(0, "n"))
+    sigma = float(expect_kv(1, "sigma"))
+    seed = int(expect_kv(2, "seed"))
     z = PhaseVector(_parse_complex_row(expect_kv(3, "z"), n, f"{where} z"))
-    if lines[4].strip() != "W":
-        raise ValueError(f"{where}: expected 'W' marker, got {lines[4]!r}")
+    if len(lines) <= 4 or lines[4].strip() != "W":
+        raise ValueError(f"{where}: expected 'W' marker after the z line")
     w, used = _read_matrix_lines(lines, 5, f"{where} W")
     if used >= len(lines) or lines[used].strip() != "C":
         raise ValueError(f"{where}: expected 'C' marker after noise rows")

@@ -30,6 +30,7 @@ import numpy as np
 from .certificate import build_certificate
 from .hermitian import HermitianMatrix, extreme_eigs
 from .manifold import PhaseVector, TangentVector, hessian_vec, project_tangent, real_inner, retract
+from .metrics import BEAT_COST_SLACK
 
 logger = logging.getLogger(__name__)
 
@@ -44,15 +45,13 @@ class SolverOptions:
 
     ``grad_tol`` and ``escape_tol`` scale with n before use (thresholds are
     ``grad_tol * n`` on the gradient norm and ``-escape_tol * n`` on the
-    certificate eigenvalue). ``fd_check`` enables a finite-difference audit
-    of the gradient at the starting point, for debugging new matrix types.
+    certificate eigenvalue).
     """
 
     grad_tol: float = 1e-10
     max_iters: int = 500
     escape_tol: float = 1e-10
     max_escapes: int = 5
-    fd_check: bool = False
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
@@ -71,7 +70,7 @@ class SolverReport:
 
     ``iterations`` counts power steps; escapes and the optional restart are
     tracked separately. ``beat_planted`` is None when no planted signal was
-    supplied, otherwise it records ``cost >= planted cost - 1e-12 n^2``.
+    supplied, otherwise it records ``cost >= planted cost - BEAT_COST_SLACK n^2``.
     ``converged`` implies ``grad_norm <= grad_tol * n``.
     """
 
@@ -167,30 +166,6 @@ def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: TangentVe
     return None
 
 
-def _fd_gradient_audit(data: HermitianMatrix, point: PhaseVector) -> None:
-    # Compare <grad, v> against central differences of g(retract(x, t v))
-    # along three deterministic tangent directions.
-    n = point.n
-    g = 2.0 * (np.diag(((data.mat @ point.vec) * point.vec.conj()).real) - data.mat) @ point.vec
-    t = 1e-6
-    for k in range(1, 4):
-        raw = np.cos(k * np.arange(n)) + 1j * np.sin(2.0 * k * np.arange(n) + 0.5)
-        v = project_tangent(point, raw)
-        if v.norm() < 1e-12:
-            continue
-        ip = real_inner(g, v.dir)
-        gp = retract(point, v, t).vec
-        gm = retract(point, v, -t).vec
-        fp = -float(np.vdot(gp, data.mat @ gp).real)
-        fm = -float(np.vdot(gm, data.mat @ gm).real)
-        fd = (fp - fm) / (2.0 * t)
-        denom = max(1.0, abs(ip))
-        if abs(fd - ip) / denom > 1e-4:
-            raise RuntimeError(
-                f"gradient audit failed: analytic {ip:.6e}, finite difference {fd:.6e}"
-            )
-
-
 def solve_second_order(
     data: HermitianMatrix,
     x0: PhaseVector,
@@ -206,8 +181,6 @@ def solve_second_order(
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:
         raise ValueError("matrix and signal sizes disagree")
-    if opts.fd_check:
-        _fd_gradient_audit(data, x0)
 
     n = data.n
     cmat = data.mat
@@ -260,7 +233,7 @@ def solve_second_order(
     cost = float(np.vdot(final.vec, w).real)
     beat = None
     if signal is not None:
-        beat = bool(cost >= cost_z - 1e-12 * n * n)
+        beat = bool(cost >= cost_z - BEAT_COST_SLACK * n * n)
     if not converged:
         logger.warning("no convergence in %d power steps (grad norm %.3e, tol %.3e)",
                        iterations, grad_norm, tol)

@@ -9,20 +9,17 @@ closed form
 
 so exact recovery by the semidefinite relaxation reduces to a single
 eigenvalue computation: the relaxation recovers ``z z^T`` exactly iff
-``S`` is positive semidefinite.
+``S`` is positive semidefinite, which ``certificate.verdict`` decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, extreme_eigs
+from .hermitian import HermitianMatrix
 from .model import REAL_WIGNER_STREAM, SIGN_STREAM, philox_stream
-
-PSD_TOL = -1e-14
 
 
 @dataclass(frozen=True)
@@ -44,11 +41,6 @@ class SignVector:
     @property
     def n(self) -> int:
         return self.vec.size
-
-
-class RecoveryCheck(NamedTuple):
-    recovered: bool
-    min_eig: float
 
 
 def random_signs(n: int, seed: int) -> SignVector:
@@ -98,17 +90,3 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
     )
     return out
 
-
-def exact_recovery_check(
-    signal: SignVector,
-    noise: HermitianMatrix,
-    sigma: float,
-    psd_tol: float = PSD_TOL,
-) -> RecoveryCheck:
-    """Smallest certificate eigenvalue and the recovery verdict
-    ``min_eig >= psd_tol * n``."""
-    if psd_tol >= 0.0:
-        raise ValueError(f"psd_tol must be negative, got {psd_tol}")
-    s = real_certificate(signal, noise, sigma)
-    min_eig = float(extreme_eigs(s, 1, 0).values[0])
-    return RecoveryCheck(recovered=bool(min_eig >= psd_tol * signal.n), min_eig=min_eig)

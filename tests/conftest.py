@@ -13,5 +13,5 @@ settings.register_profile(
 )
 settings.load_profile("numeric")
 
-# Make the reference-oracle module importable from any test.
+# Make the reference and oracle modules importable from any test.
 sys.path.insert(0, str(Path(__file__).parent))

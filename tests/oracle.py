@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import HermitianMatrix
-from .z2 import SignVector
+from phasesync.hermitian import HermitianMatrix
+from phasesync.z2 import SignVector
 
 MAX_COMPLEX_N = 6
 MAX_REAL_N = 20

@@ -21,8 +21,9 @@ from phasesync.manifold import hessian_vec, retract, riemannian_grad, project_ta
 from phasesync.metrics import l2_error
 from phasesync.model import (PhaseVector, assemble_instance, noise_tail_stats,
                              random_signal, sample_wigner, trial_seed)
-from phasesync.oracle import brute_force_qp
 from phasesync.solver import solve_second_order, spectral_init
+
+from oracle import brute_force_qp
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

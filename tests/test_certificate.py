@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import build_certificate, certify
+from phasesync.certificate import CertTolerances, build_certificate, certify
 from phasesync.hermitian import HermitianMatrix, quad_form
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import SolverOptions, solve_second_order, spectral_init
@@ -55,7 +55,8 @@ class TestBuildCertificate:
     @given(st.integers(0, 2**31 - 1))
     def test_residual_is_half_gradient_norm(self, seed):
         # S x is the tangent gradient over two: its radial part cancels by
-        # the same diagonal construction.
+        # the same diagonal construction. The projected gradient and the
+        # closed form 2 S x agree entrywise, not just in norm.
         from phasesync.manifold import riemannian_grad
         inst = _instance(7, 1.1, seed)
         x = random_signal(7, seed + 2)
@@ -63,6 +64,8 @@ class TestBuildCertificate:
         sx = np.linalg.norm(s.mat @ x.vec)
         g = riemannian_grad(inst.C, x)
         assert 2.0 * sx == pytest.approx(g.norm(), rel=1e-10, abs=1e-12)
+        budget = 1e-12 * np.linalg.norm(inst.C.mat) * np.sqrt(7)
+        assert np.abs(g.dir - 2.0 * (s.mat @ x.vec)).max() <= budget
 
     def test_size_mismatch(self):
         inst = _instance(6, 0.5, 5)
@@ -131,13 +134,12 @@ class TestCertifySolved:
 
 class TestCertifyValidation:
     def test_tolerance_signs(self):
-        inst = _instance(6, 0.2, 31)
         with pytest.raises(ValueError):
-            certify(inst.C, inst.z, residual_tol=-1e-9)
+            CertTolerances(residual_tol=-1e-9)
         with pytest.raises(ValueError):
-            certify(inst.C, inst.z, psd_tol=1e-14)
+            CertTolerances(psd_tol=1e-14)
         with pytest.raises(ValueError):
-            certify(inst.C, inst.z, rank_tol=0.0)
+            CertTolerances(rank_tol=0.0)
 
     def test_unique_implies_tight(self):
         for seed in range(6):

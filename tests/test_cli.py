@@ -105,6 +105,38 @@ class TestCertify:
         assert code == 1
         assert err.strip()
 
+    def test_truncated_instance_clean_exit(self, capsys, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        run_cli(capsys, "solve", "--n", "6", "--sigma", "0.3", "--seed", "2",
+                "--dump-instance", str(inst_path), "--dump-x", str(x_path))
+        lines = inst_path.read_text().splitlines()
+        inst_path.write_text("\n".join(lines[:4]) + "\n")
+        code, _, err = run_cli(capsys, "certify", "--instance", str(inst_path),
+                               "--x", str(x_path))
+        assert code == 1
+        assert "'W' marker" in err
+
+    def test_eigensolver_failure_exit_code(self, capsys, tmp_path, monkeypatch):
+        from phasesync import certificate
+        from phasesync.hermitian import EigensolverError
+
+        def fail(*args, **kwargs):
+            raise EigensolverError("no convergence")
+
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        run_cli(capsys, "solve", "--n", "8", "--sigma", "0.3", "--seed", "6",
+                "--dump-instance", str(inst_path), "--dump-x", str(x_path))
+        monkeypatch.setattr(certificate, "extreme_eigs", fail)
+        code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
+                                 "--x", str(x_path))
+        assert code == 3
+        row = parse_table(out)[0]
+        assert row["tight"] == "false"
+        assert row["unique"] == "false"
+        assert "eigensolver failure: no convergence" in err
+
 
 class TestGrid:
     CFG = """

@@ -11,8 +11,9 @@ import pytest
 from phasesync.hermitian import quad_form
 from phasesync.metrics import l2_error
 from phasesync.model import assemble_instance, random_signal, sample_wigner
-from phasesync.oracle import brute_force_qp, brute_force_real
 from phasesync.z2 import random_signs, sample_real_wigner
+
+from oracle import brute_force_qp, brute_force_real
 
 
 def _instance(n, sigma, seed):

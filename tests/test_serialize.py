@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.hermitian import HermitianMatrix
 from phasesync.model import assemble_instance, random_signal, sample_wigner
-from phasesync.serialize import (read_instance, read_matrix, read_phase_vector,
-                                 write_instance, write_matrix, write_phase_vector)
+from phasesync.serialize import (read_instance, read_phase_vector, write_instance,
+                                 write_phase_vector)
 
 
 def _instance(n, sigma, seed):
@@ -16,37 +15,45 @@ def _instance(n, sigma, seed):
 
 
 class TestMatrixRoundTrip:
+    """The W and C matrix blocks of an instance file."""
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10)
     def test_bit_exact(self, tmp_path_factory, seed):
-        path = tmp_path_factory.mktemp("mat") / "w.txt"
-        w = sample_wigner(7, seed)
-        write_matrix(w, path)
-        back = read_matrix(path)
-        assert np.array_equal(back.mat, w.mat)
+        path = tmp_path_factory.mktemp("mat") / "inst.txt"
+        inst = _instance(7, 1.3, seed)
+        write_instance(inst, path)
+        back = read_instance(path)
+        assert np.array_equal(back.W.mat, inst.W.mat)
+        assert np.array_equal(back.C.mat, inst.C.mat)
 
     def test_rejects_truncated(self, tmp_path):
-        path = tmp_path / "m.txt"
-        w = sample_wigner(4, 0)
-        write_matrix(w, path)
+        path = tmp_path / "inst.txt"
+        write_instance(_instance(4, 0.3, 0), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError):
-            read_matrix(path)
+        with pytest.raises(ValueError, match="ends early"):
+            read_instance(path)
 
     def test_rejects_trailing_garbage(self, tmp_path):
-        path = tmp_path / "m.txt"
-        write_matrix(sample_wigner(3, 1), path)
+        path = tmp_path / "inst.txt"
+        write_instance(_instance(3, 0.3, 1), path)
         with open(path, "a") as fh:
             fh.write("0.0 0.0\n")
-        with pytest.raises(ValueError):
-            read_matrix(path)
+        with pytest.raises(ValueError, match="trailing"):
+            read_instance(path)
 
     def test_rejects_non_hermitian_content(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("2\n1.0 0.0 5.0 0.0\n-5.0 0.0 1.0 0.0\n")
-        with pytest.raises(ValueError):
-            read_matrix(path)
+        path = tmp_path / "inst.txt"
+        write_instance(_instance(2, 0.5, 2), path)
+        lines = path.read_text().splitlines()
+        w_row = lines.index("W") + 2
+        row = lines[w_row].split()
+        row[2] = "5.0"
+        lines[w_row] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="Hermitian"):
+            read_instance(path)
 
 
 class TestPhaseVectorRoundTrip:
@@ -100,6 +107,15 @@ class TestInstanceRoundTrip:
         lines[c_start] = " ".join(row)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
+            read_instance(path)
+
+    def test_truncated_after_z_rejected(self, tmp_path):
+        inst = _instance(4, 0.3, 11)
+        path = tmp_path / "inst.txt"
+        write_instance(inst, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4]) + "\n")
+        with pytest.raises(ValueError, match="'W' marker"):
             read_instance(path)
 
     def test_missing_section_rejected(self, tmp_path):

@@ -31,7 +31,6 @@ class TestOptions:
         assert opts.max_iters == 500
         assert opts.escape_tol == 1e-10
         assert opts.max_escapes == 5
-        assert opts.fd_check is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -129,12 +128,6 @@ class TestModerateNoise:
         other = solve_second_order(inst.C, rotated_start, signal=inst.z)
         aligned = align_global_phase(other.x, base.x)
         assert np.linalg.norm(aligned.vec - base.x.vec) <= 1e-6 * np.sqrt(16)
-
-    def test_fd_check_passes_on_honest_objective(self):
-        inst = _instance(12, 0.7, 2)
-        rep = solve_second_order(inst.C, spectral_init(inst.C),
-                                 opts=SolverOptions(fd_check=True))
-        assert rep.converged
 
 
 class TestRestartFromPlanted:

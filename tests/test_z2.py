@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasesync.certificate import CertTolerances, verdict
 from phasesync.hermitian import extreme_eigs
-from phasesync.z2 import (SignVector, exact_recovery_check, random_signs,
-                          real_certificate, sample_real_wigner)
+from phasesync.z2 import SignVector, random_signs, real_certificate, sample_real_wigner
 
 from reference import jacobi_eigvalsh
 
@@ -113,28 +113,34 @@ class TestRealCertificate:
             real_certificate(z, w, -0.5)
 
 
+def _recovery(z, w, sigma, tolerances=CertTolerances()):
+    # The shared certificate verdict at the planted signs: tight means the
+    # relaxation recovers z z^T exactly.
+    return verdict(real_certificate(z, w, sigma), z.vec, tolerances)
+
+
 class TestRecoveryCheck:
     def test_min_eig_matches_direct_eigensolve(self):
         z = random_signs(40, 21)
         w = sample_real_wigner(40, 21)
-        check = exact_recovery_check(z, w, 2.0)
+        check = _recovery(z, w, 2.0)
         s = real_certificate(z, w, 2.0)
         ref = float(extreme_eigs(s, 1, 0).values[0])
         assert check.min_eig == pytest.approx(ref, abs=1e-12)
-        assert check.recovered == (check.min_eig >= -1e-14 * 40)
+        assert check.tight == (check.min_eig >= -1e-14 * 40)
 
     def test_weak_noise_recovers(self):
         z = random_signs(60, 5)
         w = sample_real_wigner(60, 5)
-        check = exact_recovery_check(z, w, 0.5)
-        assert check.recovered
+        check = _recovery(z, w, 0.5)
+        assert check.tight
 
     def test_strong_noise_fails(self):
         z = random_signs(60, 6)
         w = sample_real_wigner(60, 6)
         threshold = math.sqrt(60 / (2 * math.log(60)))
-        check = exact_recovery_check(z, w, 4.0 * threshold)
-        assert not check.recovered
+        check = _recovery(z, w, 4.0 * threshold)
+        assert not check.tight
         assert check.min_eig < 0.0
 
     def test_transition_bracket(self):
@@ -148,9 +154,9 @@ class TestRecoveryCheck:
         for seed in range(trials):
             z = random_signs(n, seed)
             w = sample_real_wigner(n, seed)
-            if exact_recovery_check(z, w, 0.6 * threshold).recovered:
+            if _recovery(z, w, 0.6 * threshold).tight:
                 below += 1
-            if exact_recovery_check(z, w, 1.8 * threshold).recovered:
+            if _recovery(z, w, 1.8 * threshold).tight:
                 above += 1
         assert below == trials
         assert above == 0
@@ -159,4 +165,4 @@ class TestRecoveryCheck:
         z = random_signs(10, 2)
         w = sample_real_wigner(10, 2)
         with pytest.raises(ValueError):
-            exact_recovery_check(z, w, 1.0, psd_tol=1e-14)
+            _recovery(z, w, 1.0, CertTolerances(psd_tol=1e-14))
