@@ -152,7 +152,8 @@ def run_trial_detailed(
     x0 = spectral_init(inst.C)
     rep_solve = solve_second_order(inst.C, x0, signal=z, opts=solver_opts)
     cert = certify(inst.C, rep_solve.x, tolerances)
-    bounds = evaluate_bounds(inst, rep_solve.x, discordant=disc.discordant)
+    bounds = evaluate_bounds(inst, rep_solve.x, discordant=disc.discordant,
+                             beat_planted=rep_solve.beat_planted)
     cost_z = quad_form(inst.C, z.vec)
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
@@ -204,7 +205,7 @@ def run_real_trial(
     inst = assemble_instance(zp, w, sigma, seed)
     disc = is_discordant(w, zp)
     cert = verdict(real_certificate(z, w, sigma), z.vec, tolerances)
-    bounds = evaluate_bounds(inst, zp, discordant=disc.discordant)
+    bounds = evaluate_bounds(inst, zp, discordant=disc.discordant, beat_planted=True)
     cost_z = quad_form(inst.C, zp.vec)
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0

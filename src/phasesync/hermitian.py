@@ -1,4 +1,9 @@
-"""Dense complex Hermitian matrices and the spectral primitives built on them.
+"""Dense Hermitian matrices and the spectral primitives built on them.
+
+A matrix keeps the number field of its input: real input is stored as a
+real-symmetric float64 array and complex input as a complex128 array, so the
+real sign problem runs real arithmetic and real LAPACK end to end while the
+complex phase problem is unchanged.
 
 Everything downstream (instance assembly, certificates, solver shifts) goes
 through this module for eigenvalue work, so the accuracy contract lives here:
@@ -30,18 +35,18 @@ class EigensolverError(RuntimeError):
 class HermitianMatrix:
     """Immutable dense Hermitian matrix with an exactly real diagonal.
 
-    Construction averages the input with its conjugate transpose, forces the
-    diagonal real, and marks the array read-only. Inputs whose asymmetry
-    exceeds ``HERMITIAN_ATOL`` (relative to the largest entry magnitude) are
+    The dtype follows the input: a complex-typed input is stored as
+    complex128, any other as float64 (real symmetric). Construction averages
+    the input with its conjugate transpose, forces the diagonal real, and
+    marks the array read-only. Inputs whose asymmetry exceeds
+    ``HERMITIAN_ATOL`` (relative to the largest entry magnitude) are
     rejected; route those through :func:`symmetrize` instead.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+        m = _square_array(self.mat)
         scale = max(1.0, float(np.max(np.abs(m))))
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERMITIAN_ATOL * scale:
@@ -79,11 +84,18 @@ class EigenResult:
             object.__setattr__(self, name, arr)
 
 
-def symmetrize(mat) -> HermitianMatrix:
-    """Average a square complex matrix with its conjugate transpose."""
-    m = np.asarray(mat, dtype=np.complex128)
+def _square_array(mat) -> np.ndarray:
+    # The one dtype rule: complex128 for complex-typed input, else float64.
+    m = np.asarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return m
+
+
+def symmetrize(mat) -> HermitianMatrix:
+    """Average a square matrix with its conjugate transpose; the dtype rule
+    is that of :class:`HermitianMatrix`."""
+    m = _square_array(mat)
     return HermitianMatrix((m + m.conj().T) / 2.0)
 
 
@@ -93,6 +105,7 @@ def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int, tol: float = 1e
     Dense path below ``DENSE_EIG_CUTOFF`` (and whenever the request covers
     a large fraction of the spectrum), shift-free Lanczos above it. Values
     come back ascending: the small block first, then the large block.
+    Vectors have the dtype of ``h.mat``: real for a real-symmetric matrix.
 
     Raises
     ------
@@ -111,7 +124,7 @@ def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int, tol: float = 1e
     if k > n:
         raise ValueError(f"requested {k} eigenpairs from a {n} x {n} matrix")
     if k == 0:
-        empty_v = np.zeros((n, 0), dtype=np.complex128)
+        empty_v = np.zeros((n, 0), dtype=h.mat.dtype)
         return EigenResult(np.zeros(0), empty_v, np.zeros(0))
 
     if n <= DENSE_EIG_CUTOFF or k >= n // 2:

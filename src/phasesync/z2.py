@@ -53,7 +53,7 @@ def random_signs(n: int, seed: int) -> SignVector:
 
 def sample_real_wigner(n: int, seed: int) -> HermitianMatrix:
     """Symmetric noise draw with N(0, 1) off-diagonal entries and zero
-    diagonal. Stored with exactly zero imaginary parts."""
+    diagonal, stored as a real float64 matrix."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = philox_stream(seed, REAL_WIGNER_STREAM)
@@ -61,7 +61,7 @@ def sample_real_wigner(n: int, seed: int) -> HermitianMatrix:
     w = np.zeros((n, n), dtype=np.float64)
     w[iu] = rng.normal(0.0, 1.0, size=n * (n - 1) // 2)
     w = w + w.T
-    return HermitianMatrix(w.astype(np.complex128))
+    return HermitianMatrix(w)
 
 
 def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:
@@ -70,7 +70,9 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
     Off the diagonal ``S = -z z^T - sigma W``; on it
     ``S_ii = n - 1 + sigma z_i (W z)_i``. The defining identity ``S z = 0``
     is asserted on every call (to ``1e-10 * n``): it holds for any signs,
-    noise, and sigma, not just favorable draws.
+    noise, and sigma, not just favorable draws. ``S`` is real float64; a
+    complex-typed noise matrix is accepted when its imaginary parts are all
+    zero, and its real part is used.
     """
     if noise.n != signal.n:
         raise ValueError("signal and noise sizes disagree")
@@ -80,8 +82,9 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
         raise ValueError("noise matrix must be real")
     n = signal.n
     z = signal.vec
-    wz = (noise.mat @ z).real
-    s = -np.outer(z, z).astype(np.complex128) - sigma * noise.mat
+    w = noise.mat.real
+    wz = w @ z
+    s = -np.outer(z, z) - sigma * w
     np.fill_diagonal(s, n - 1.0 + sigma * (z * wz))
     out = HermitianMatrix(s)
     kernel_residual = float(np.linalg.norm(out.mat @ z))

@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from phasesync.certificate import build_certificate, certify
+from phasesync.certificate import certify
 from phasesync.experiment import (GridConfig, run_grid, run_real_trial,
                                   run_trial, run_trial_detailed)
-from phasesync.hermitian import extreme_eigs
 from phasesync.manifold import hessian_vec, retract, riemannian_grad, project_tangent
 from phasesync.metrics import l2_error
 from phasesync.model import (PhaseVector, assemble_instance, noise_tail_stats,

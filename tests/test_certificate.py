@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync.certificate import CertTolerances, build_certificate, certify
-from phasesync.hermitian import HermitianMatrix, quad_form
+from phasesync.hermitian import quad_form
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import SolverOptions, solve_second_order, spectral_init
+from phasesync.solver import solve_second_order, spectral_init
 
 from reference import jacobi_eigvalsh
 

@@ -8,7 +8,6 @@ import csv
 import io
 import math
 
-import numpy as np
 import pytest
 
 from phasesync.cli import main

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
-                                  CellAggregate, ConfigError, GridConfig,
+                                  ConfigError, GridConfig,
                                   curve_values, emit_curves, parse_grid_config,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync.model import trial_seed
-from phasesync.solver import SolverOptions
 
 
 def _write_config(tmp_path, text):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import (DENSE_EIG_CUTOFF, EigensolverError, HermitianMatrix,
-                                 extreme_eigs, operator_norm, quad_form, symmetrize)
+import phasesync.hermitian as hermitian
+from phasesync.hermitian import (DENSE_EIG_CUTOFF, HermitianMatrix, extreme_eigs,
+                                 operator_norm, quad_form, symmetrize)
 
 from reference import jacobi_eigvalsh, power_opnorm, quad_form_loops
 
@@ -19,6 +20,11 @@ def _random_hermitian(n, seed, scale=1.0):
     return HermitianMatrix(scale * (m + m.conj().T) / 2.0)
 
 
+def _random_symmetric(n, seed):
+    m = _rng(seed).normal(size=(n, n))
+    return HermitianMatrix((m + m.T) / 2.0)
+
+
 class TestHermitianMatrix:
     def test_construction_forces_real_diagonal_and_readonly(self):
         m = np.array([[1.0 + 1e-14j, 2.0 - 1.0j], [2.0 + 1.0j, -3.0 + 0j]])
@@ -30,6 +36,27 @@ class TestHermitianMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    def test_dtype_follows_input(self):
+        real = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
+        cplx = HermitianMatrix(np.array([[2.0, 1.0j], [-1.0j, 0.0]]))
+        assert real.mat.dtype == np.float64
+        assert cplx.mat.dtype == np.complex128
+        assert not real.mat.flags.writeable
+        assert not cplx.mat.flags.writeable
+
+    def test_symmetrize_applies_the_same_dtype_rule(self):
+        inputs = (np.array([[1, 2], [2, 1]]),
+                  np.array([[1.0, 2.0], [0.0, 1.0]]),
+                  np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
+        for m in inputs:
+            h = symmetrize(m)
+            assert h.mat.dtype == HermitianMatrix(h.mat).mat.dtype
+            assert h.mat.dtype == (np.complex128 if np.iscomplexobj(m) else np.float64)
+
+    def test_rejects_asymmetric_real(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -113,6 +140,24 @@ class TestExtremeEigs:
         got = extreme_eigs(h, 1, 1, tol=1e-10)
         assert got.values[0] == pytest.approx(-50.0, abs=1e-6)
         assert got.values[1] == pytest.approx(3.0 * n, rel=1e-10)
+
+    @pytest.mark.parametrize("path", ["dense", "lanczos"])
+    def test_real_symmetric_matches_complex_cast(self, monkeypatch, path):
+        # Real input runs the real LAPACK / ARPACK routines and returns real
+        # vectors; its spectrum agrees with that of the complex128 cast.
+        n = 60
+        if path == "lanczos":
+            monkeypatch.setattr(hermitian, "DENSE_EIG_CUTOFF", 20)
+        h = _random_symmetric(n, 4)
+        as_complex = HermitianMatrix(h.mat.astype(np.complex128))
+        scale = n * max(1.0, float(np.linalg.norm(h.mat)))
+        got = extreme_eigs(h, 2, 2, tol=1e-10)
+        ref = extreme_eigs(as_complex, 2, 2, tol=1e-10)
+        assert got.vectors.dtype == np.float64
+        assert ref.vectors.dtype == np.complex128
+        assert np.all(got.residuals <= 1e-10 * scale)
+        assert np.abs(got.values - ref.values).max() <= 1e-12 * scale
+        assert extreme_eigs(h, 0, 0).vectors.dtype == np.float64
 
     @given(st.integers(0, 2**31 - 1), st.floats(-3.0, 3.0))
     def test_shift_invariance(self, seed, shift):

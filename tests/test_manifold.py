@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import HermitianMatrix, quad_form
+from phasesync.hermitian import quad_form
 from phasesync.manifold import (AlignmentError, TangentVector, align_global_phase,
                                 hessian_vec, project_tangent, real_inner, retract,
                                 riemannian_grad)

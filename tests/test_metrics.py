@@ -9,7 +9,7 @@ from phasesync.manifold import AlignmentError
 from phasesync.metrics import (evaluate_bounds, l2_error, linf_error,
                                sufficient_noise_condition, tightness_threshold)
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import solve_second_order, spectral_init
+from phasesync.solver import SolverOptions, solve_second_order, spectral_init
 
 from reference import min_phase_distance
 
@@ -143,6 +143,23 @@ class TestEvaluateBounds:
         assert not a.binding
         b = evaluate_bounds(inst, inst.z, discordant=True)
         assert b.binding
+
+    def test_passed_beat_flag_matches_recomputed(self):
+        # The solver compares the same two costs with the same slack, so its
+        # flag can stand in for the recomputation. A converged solve from the
+        # spectral start beats the plant; one power step from a random start
+        # does not.
+        inst = _instance(40, 0.5, 14)
+        starts = ((spectral_init(inst.C), 500), (random_signal(40, 999), 1))
+        flags = []
+        for x0, max_iters in starts:
+            rep = solve_second_order(inst.C, x0, signal=inst.z,
+                                     opts=SolverOptions(max_iters=max_iters))
+            passed = evaluate_bounds(inst, rep.x, discordant=True,
+                                     beat_planted=rep.beat_planted)
+            assert passed == evaluate_bounds(inst, rep.x, discordant=True)
+            flags.append(passed.binding)
+        assert flags == [True, False]
 
     def test_correlation_field(self):
         inst = _instance(25, 0.5, 11)

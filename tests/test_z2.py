@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync.certificate import CertTolerances, verdict
-from phasesync.hermitian import extreme_eigs
+from phasesync.hermitian import HermitianMatrix, extreme_eigs
 from phasesync.z2 import SignVector, random_signs, real_certificate, sample_real_wigner
 
 from reference import jacobi_eigvalsh
@@ -36,6 +36,7 @@ class TestSampling:
 
     def test_real_wigner_symmetric_zero_diag_real(self):
         w = sample_real_wigner(30, 7)
+        assert w.mat.dtype == np.float64
         assert np.all(w.mat.imag == 0.0)
         assert np.all(np.diag(w.mat) == 0.0)
         assert np.array_equal(w.mat, w.mat.T)
@@ -106,6 +107,18 @@ class TestRealCertificate:
         with pytest.raises(ValueError, match="real"):
             real_certificate(z, wc, 1.0)
 
+    def test_real_float64_and_complex_typed_real_noise_accepted(self):
+        # A complex-typed noise matrix with zero imaginary parts is still
+        # accepted, and gives the certificate of its real part.
+        n, sigma = 20, 1.3
+        z = random_signs(n, 3)
+        w = sample_real_wigner(n, 3)
+        s = real_certificate(z, w, sigma)
+        s_cast = real_certificate(z, HermitianMatrix(w.mat.astype(np.complex128)), sigma)
+        assert s.mat.dtype == np.float64
+        assert s_cast.mat.dtype == np.float64
+        assert np.abs(s.mat - s_cast.mat).max() <= 1e-12 * n
+
     def test_rejects_negative_sigma(self):
         z = random_signs(8, 1)
         w = sample_real_wigner(8, 1)
@@ -160,6 +173,24 @@ class TestRecoveryCheck:
                 above += 1
         assert below == trials
         assert above == 0
+
+    def test_verdicts_match_complex_arithmetic(self):
+        # The complex128 cast of S runs the same verdict in complex
+        # arithmetic; it is the reference for the float64 verdicts.
+        outcomes = set()
+        for n in (20, 60):
+            threshold = math.sqrt(n / (2 * math.log(n)))
+            for seed in range(4):
+                z = random_signs(n, seed)
+                w = sample_real_wigner(n, seed)
+                for factor in (0.5, 0.9, 1.1, 2.0):
+                    s = real_certificate(z, w, factor * threshold)
+                    got = verdict(s, z.vec, CertTolerances())
+                    ref = verdict(HermitianMatrix(s.mat.astype(np.complex128)), z.vec,
+                                  CertTolerances())
+                    assert (got.tight, got.unique) == (ref.tight, ref.unique)
+                    outcomes.add(got.tight)
+        assert outcomes == {True, False}
 
     def test_psd_tol_sign_validated(self):
         z = random_signs(10, 2)
