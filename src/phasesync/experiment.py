@@ -2,9 +2,10 @@
 
 A complex-case trial runs the full pipeline: sample signal and noise,
 assemble the data matrix, check noise regularity, solve from the spectral
-start (with the planted restart enabled), align, certify, and evaluate the
-error bounds. A real-case trial needs no solver: the closed-form certificate
-at the planted signs decides exact recovery by itself.
+start (with the planted restart enabled), take the solver's certificate
+verdict on its estimate, align, and evaluate the error bounds. A real-case
+trial needs no solver: the closed-form certificate at the planted signs
+decides exact recovery by itself.
 
 Determinism contract: trial seeds depend only on ``(seed_base, trial index)``
 where the index enumerates the grid sorted by (n, sigma, rep), so the CSV
@@ -26,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import CertTolerances, certify, verdict
+from .certificate import CertTolerances, verdict
 from .hermitian import quad_form
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
-from .solver import SolverOptions, solve_second_order, spectral_init
+from .solver import SolverOptions, solve_second_order
 from .z2 import random_signs, real_certificate, sample_real_wigner
 
 WORKERS_ENV_VAR = "PHASESYNC_WORKERS"
@@ -149,9 +150,8 @@ def run_trial_detailed(
     w = sample_wigner(n, seed)
     inst = assemble_instance(z, w, sigma, seed)
     disc = is_discordant(w, z)
-    x0 = spectral_init(inst.C)
-    rep_solve = solve_second_order(inst.C, x0, signal=z, opts=solver_opts)
-    cert = certify(inst.C, rep_solve.x, tolerances)
+    rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts, tolerances=tolerances)
+    cert = rep_solve.certificate
     bounds = evaluate_bounds(inst, rep_solve.x, discordant=disc.discordant,
                              beat_planted=rep_solve.beat_planted)
     cost_z = quad_form(inst.C, z.vec)

@@ -170,6 +170,16 @@ def operator_norm(h: HermitianMatrix, tol: float = 1e-9) -> float:
     return float(np.max(np.abs(eig.values)))
 
 
+def matvec(h: HermitianMatrix, vec) -> np.ndarray:
+    """The product ``H v``. A real-symmetric ``H`` times a complex ``v`` is
+    taken as ``H Re v + i H Im v``, so the real matrix is never cast to
+    complex (numpy's ``@`` would copy all of it to complex128 first)."""
+    v = np.asarray(vec)
+    if np.iscomplexobj(v) and not np.iscomplexobj(h.mat):
+        return h.mat @ v.real + 1j * (h.mat @ v.imag)
+    return h.mat @ v
+
+
 def quad_form(h: HermitianMatrix, vec) -> float:
     """Real quadratic form v* H v.
 

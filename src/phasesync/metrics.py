@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import quad_form
+from .hermitian import matvec, quad_form
 from .manifold import align_global_phase
 from .model import PhaseVector, SyncInstance, is_discordant
 
@@ -120,7 +120,7 @@ def evaluate_bounds(
 
     lemma2_bound = 12.0 * sigma
     lemma3_bound = 6.0 * (math.sqrt(math.log(n)) + 29.0 * sigma) * sigma / math.sqrt(n)
-    wx_inf = float(np.max(np.abs(instance.W.mat @ point.vec)))
+    wx_inf = float(np.max(np.abs(matvec(instance.W, point.vec))))
     wx_bound = 36.0 * sigma * math.sqrt(n) + 3.0 * math.sqrt(n * math.log(n))
 
     if discordant is None:

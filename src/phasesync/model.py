@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, operator_norm
+from .hermitian import HermitianMatrix, matvec, operator_norm
 
 SIGNAL_STREAM = 0
 WIGNER_STREAM = 1
@@ -190,7 +190,7 @@ def is_discordant(
     n = noise.n
     opnorm = operator_norm(noise, tol=tol)
     op_bound = opnorm_const * math.sqrt(n)
-    inf_wz = float(np.max(np.abs(noise.mat @ signal.vec)))
+    inf_wz = float(np.max(np.abs(matvec(noise, signal.vec))))
     inf_bound = inf_const * math.sqrt(n * math.log(n))
     return DiscordanceReport(
         opnorm_W=opnorm,

@@ -1,23 +1,29 @@
 """Second-order ascent for the torus-constrained quadratic objective.
 
-The driver maximizes ``x* C x`` over unit-modulus vectors by combining three
-monotone pieces:
+The solver maximizes ``x* C x`` over unit-modulus vectors and answers, for
+the point it returns, the question every trial asks: is the dual certificate
+``S = Re diag(C x xbar) - C`` positive semidefinite? It converges, certifies
+once, and escapes only along the certificate's own eigenvector:
 
-* projected power iterations on the shifted matrix ``C + lam I``, with
-  ``lam = max(0, -min_eig(C))`` so the shift is positive semidefinite; each
-  iteration maps ``x`` to the entrywise phase of ``(C + lam I) x`` and never
-  decreases the objective (majorize-minimize argument);
+* one decomposition of ``C`` gives both the shift ``lam = max(0,
+  -min_eig(C))`` and, when no start is given, the spectral start (the phases
+  of the top eigenvector, exactly :func:`spectral_init`);
+* projected power iterations on ``C + lam I`` map ``x`` to the entrywise
+  phase of ``(C + lam I) x``; each never decreases the objective
+  (majorize-minimize argument). First-order convergence is declared when the
+  Riemannian gradient norm falls below ``grad_tol * n``;
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* saddle escapes: at an approximate critical point, a negative eigenvalue of
-  the certificate matrix ``S`` exposes a tangent direction of negative
-  curvature, and a backtracking step along it strictly increases the cost.
-  Escapes are counted and capped.
+* at a first-order point ``S`` is built and decomposed once, and
+  ``certificate.verdict`` decides on it. If its smallest eigenvalue is below
+  ``-escape_tol * n``, its eigenvector exposes a tangent direction of
+  negative curvature, a backtracking step along it strictly increases the
+  cost, and the ascent resumes. Escapes are counted and capped.
 
-First-order convergence is declared when the Riemannian gradient norm falls
-below ``grad_tol * n``. Second-order quality of the final point is then a
-matter for the certificate, which the escape machinery has already consulted.
+The report carries the certificate verdict of the returned point: the one
+made at the last check, or, when the run ended without one (iteration budget
+spent, or escape cap reached), a :func:`certify` of the final point.
 """
 
 from __future__ import annotations
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import build_certificate
-from .hermitian import HermitianMatrix, extreme_eigs
+from .certificate import (CertificateReport, CertTolerances, _verdict, build_certificate,
+                          certify)
+from .hermitian import EigenResult, HermitianMatrix, extreme_eigs
 from .manifold import PhaseVector, TangentVector, hessian_vec, project_tangent, real_inner, retract
 from .metrics import BEAT_COST_SLACK
 
@@ -71,7 +78,9 @@ class SolverReport:
     ``iterations`` counts power steps; escapes and the optional restart are
     tracked separately. ``beat_planted`` is None when no planted signal was
     supplied, otherwise it records ``cost >= planted cost - BEAT_COST_SLACK n^2``.
-    ``converged`` implies ``grad_norm <= grad_tol * n``.
+    ``converged`` implies ``grad_norm <= grad_tol * n``. ``certificate`` is
+    the verdict on ``x``, exactly what :func:`certify` with the same
+    tolerances reports.
     """
 
     x: PhaseVector
@@ -81,6 +90,7 @@ class SolverReport:
     escapes: int
     beat_planted: bool | None
     converged: bool
+    certificate: CertificateReport
 
 
 def _grad_dir(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -88,18 +98,22 @@ def _grad_dir(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 2.0 * (w * x.conj()).real * x - 2.0 * w
 
 
+def _round_phases(v: np.ndarray) -> PhaseVector:
+    # Entrywise phases; entries below 1e-12 in modulus carry no usable phase
+    # and become 1.
+    a = np.abs(v)
+    tiny = a < 1e-12
+    return PhaseVector(np.where(tiny, 1.0 + 0.0j, v / np.where(tiny, 1.0, a)))
+
+
 def spectral_init(data: HermitianMatrix) -> PhaseVector:
     """Entrywise phases of the leading eigenvector.
 
     Entries of the eigenvector with modulus below 1e-12 are replaced by 1,
-    since they carry no usable phase information.
+    since they carry no usable phase information. This is the start
+    :func:`solve_second_order` takes when given none.
     """
-    eig = extreme_eigs(data, 0, 1)
-    v = eig.vectors[:, 0]
-    a = np.abs(v)
-    tiny = a < 1e-12
-    out = np.where(tiny, 1.0 + 0.0j, v / np.where(tiny, 1.0, a))
-    return PhaseVector(out)
+    return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
 
 
 def escape_direction(
@@ -114,7 +128,8 @@ def escape_direction(
     at most ``10 * grad_tol * n``); the certificate spectrum only encodes the
     Hessian there. Returns None when the smallest certificate eigenvalue
     clears ``-tol * n``, or when neither candidate direction derived from its
-    eigenvector has negative Rayleigh curvature.
+    eigenvector has negative Rayleigh curvature. The solver makes the same
+    decision on the decomposition its certificate verdict already holds.
     """
     if data.n != point.n:
         raise ValueError("matrix and point sizes disagree")
@@ -128,15 +143,20 @@ def escape_direction(
             f"escape_direction needs an approximately critical point: "
             f"gradient norm {gn:.3e} exceeds {10.0 * grad_tol * n:.3e}"
         )
-    s = build_certificate(data, point)
-    eig = extreme_eigs(s, 1, 0)
-    if float(eig.values[0]) >= -tol * n:
+    return _negative_curvature(data, point, extreme_eigs(build_certificate(data, point), 1, 0),
+                               tol)
+
+
+def _negative_curvature(data: HermitianMatrix, point: PhaseVector, eig: EigenResult,
+                        tol: float) -> TangentVector | None:
+    # ``eig`` holds the bottom eigenpair of the certificate at ``point`` in its
+    # first column. The eigenvector itself need not be tangent; both its
+    # projection and the projection of its quarter-turn rotation are tried,
+    # and the more negative curvature wins. One of them inherits curvature
+    # below min_eig(S) whenever that eigenvalue is negative.
+    if float(eig.values[0]) >= -tol * data.n:
         return None
     u = eig.vectors[:, 0]
-    # The eigenvector itself need not be tangent; both its projection and the
-    # projection of its quarter-turn rotation are tried, and the more
-    # negative curvature wins. One of them inherits curvature below
-    # min_eig(S) whenever that eigenvalue is negative.
     best: TangentVector | None = None
     best_curv = 0.0
     for cand in (u, 1j * u):
@@ -168,16 +188,20 @@ def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: TangentVe
 
 def solve_second_order(
     data: HermitianMatrix,
-    x0: PhaseVector,
+    x0: PhaseVector | None = None,
     signal: PhaseVector | None = None,
     opts: SolverOptions | None = None,
+    tolerances: CertTolerances = CertTolerances(),
 ) -> SolverReport:
-    """Run the full ascent from ``x0``; see the module docstring for the
-    three monotone pieces. Non-convergence within ``max_iters`` power steps
-    is reported, not raised."""
+    """Run the full ascent from ``x0``, or from the spectral start when it is
+    None; see the module docstring for the pieces. ``tolerances`` are the
+    certificate gates of the returned verdict, which needs ``n >= 2``. An
+    eigensolver failure on the certificate is reported in the verdict's
+    ``error`` (and no escape is tried); non-convergence within ``max_iters``
+    power steps is reported, not raised."""
     if opts is None:
         opts = SolverOptions()
-    if data.n != x0.n:
+    if x0 is not None and data.n != x0.n:
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:
         raise ValueError("matrix and signal sizes disagree")
@@ -185,7 +209,10 @@ def solve_second_order(
     n = data.n
     cmat = data.mat
     tol = opts.grad_tol * n
-    shift = max(0.0, -float(extreme_eigs(data, 1, 0).values[0]))
+    extremes = extreme_eigs(data, 1, 1)
+    shift = max(0.0, -float(extremes.values[0]))
+    if x0 is None:
+        x0 = _round_phases(extremes.vectors[:, 1])
 
     cost_z = None
     if signal is not None:
@@ -196,6 +223,7 @@ def solve_second_order(
     escapes = 0
     restarted = False
     converged = False
+    cert = None
 
     while True:
         w = cmat @ x
@@ -208,8 +236,9 @@ def solve_second_order(
                 continue
             if escapes < opts.max_escapes:
                 point = PhaseVector(x)
-                direction = escape_direction(data, point, opts.escape_tol,
-                                             grad_tol=opts.grad_tol)
+                report, eig = _verdict(build_certificate(data, point), point.vec, tolerances)
+                direction = None if eig is None else _negative_curvature(
+                    data, point, eig, opts.escape_tol)
                 if direction is not None:
                     moved = _escape_step(data, point, direction, cost_x)
                     if moved is not None:
@@ -217,6 +246,9 @@ def solve_second_order(
                         escapes += 1
                         continue
                     logger.warning("negative curvature found but no ascent step succeeded")
+                # Kept only here, where x stays put: a verdict on a point the
+                # ascent then left would not be the verdict on its result.
+                cert = report
             converged = True
             break
         if iterations >= opts.max_iters:
@@ -228,6 +260,8 @@ def solve_second_order(
         iterations += 1
 
     final = PhaseVector(x)
+    if cert is None:
+        cert = certify(data, final, tolerances)
     w = cmat @ final.vec
     grad_norm = float(np.linalg.norm(_grad_dir(w, final.vec)))
     cost = float(np.vdot(final.vec, w).real)
@@ -240,5 +274,5 @@ def solve_second_order(
     return SolverReport(
         x=final, cost=cost, grad_norm=grad_norm,
         iterations=iterations, escapes=escapes,
-        beat_planted=beat, converged=converged,
+        beat_planted=beat, converged=converged, certificate=cert,
     )

@@ -78,7 +78,7 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
         raise ValueError("signal and noise sizes disagree")
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if np.any(noise.mat.imag != 0.0):
+    if np.iscomplexobj(noise.mat) and np.any(noise.mat.imag != 0.0):
         raise ValueError("noise matrix must be real")
     n = signal.n
     z = signal.vec

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   curve_values, emit_curves, parse_grid_config,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
-from phasesync.model import trial_seed
+from phasesync.certificate import build_certificate
+from phasesync.model import assemble_instance, random_signal, sample_wigner, trial_seed
 
 
 def _write_config(tmp_path, text):
@@ -175,6 +177,61 @@ class TestTrialRecords:
         a = run_trial(15, 0.6, seed=9)
         b = run_trial(15, 0.6, seed=9)
         assert trial_csv_row(a) == trial_csv_row(b)
+
+
+def _digest(mat):
+    return hashlib.blake2b(np.ascontiguousarray(mat).view(np.uint8), digest_size=8).hexdigest()
+
+
+def _watch_eigh(monkeypatch, allowed=None):
+    """Wrap ``numpy.linalg.eigh``: log the digest of every matrix it is given,
+    and fail with LinAlgError on any matrix whose digest is not in
+    ``allowed`` (when given). Returns the log."""
+    log = []
+    eigh = np.linalg.eigh
+
+    def watched(a, *args, **kwargs):
+        log.append(_digest(a))
+        if allowed is not None and log[-1] not in allowed:
+            raise np.linalg.LinAlgError("injected failure")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", watched)
+    return log
+
+
+class TestEigensolves:
+    def test_complex_trial_decomposes_w_c_and_s_once_each(self, monkeypatch):
+        n, sigma, seed = 12, 0.3, 5
+        rec, inst, rep = run_trial_detailed(n, sigma, seed)
+        assert rep.escapes == 0
+        s = build_certificate(inst.C, rep.x)
+        log = _watch_eigh(monkeypatch)
+        again = run_trial(n, sigma, seed)
+        assert len(log) == 3
+        assert set(log) == {_digest(m) for m in (inst.W.mat, inst.C.mat, s.mat)}
+        assert trial_csv_row(again) == trial_csv_row(rec)
+
+    def test_real_trial_decomposes_w_and_s_once_each(self, monkeypatch):
+        log = _watch_eigh(monkeypatch)
+        run_real_trial(12, 0.5, 5)
+        assert len(log) == 2
+        assert len(set(log)) == 2
+
+    def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
+        # Only W and C decompose; the certificate's eigensolve fails. The
+        # trial reports the failure as not tight instead of raising.
+        n, sigma, seed = 12, 0.3, 5
+        z = random_signal(n, seed)
+        w = sample_wigner(n, seed)
+        inst = assemble_instance(z, w, sigma, seed)
+        _watch_eigh(monkeypatch, allowed={_digest(w.mat), _digest(inst.C.mat)})
+        rec = run_trial(n, sigma, seed)
+        assert not rec.tight and not rec.unique
+        assert math.isnan(rec.min_eig_S)
+        _, _, rep = run_trial_detailed(n, sigma, seed)
+        assert rep.converged and rep.escapes == 0
+        assert "injected failure" in rep.certificate.error
 
 
 class TestRunGrid:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import phasesync.hermitian as hermitian
-from phasesync.hermitian import (DENSE_EIG_CUTOFF, HermitianMatrix, extreme_eigs,
+from phasesync.hermitian import (DENSE_EIG_CUTOFF, HermitianMatrix, extreme_eigs, matvec,
                                  operator_norm, quad_form, symmetrize)
 
 from reference import jacobi_eigvalsh, power_opnorm, quad_form_loops
@@ -185,6 +185,28 @@ class TestOperatorNorm:
     def test_dominates_row_column_entries(self, seed):
         h = _random_hermitian(6, seed)
         assert operator_norm(h) >= np.abs(h.mat).max() - 1e-9
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_cast_product(self, kind):
+        n = 40
+        h = _random_symmetric(n, 8) if kind == "real" else _random_hermitian(n, 8)
+        rng = _rng(9)
+        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+        out = matvec(h, v)
+        ref = h.mat.astype(np.complex128) @ v
+        assert out.dtype == np.complex128
+        assert np.max(np.abs(out - ref)) <= 1e-14 * n * np.abs(h.mat).max()
+        if kind == "complex":
+            assert np.array_equal(out, h.mat @ v)
+
+    def test_real_vector_stays_real(self):
+        h = _random_symmetric(10, 2)
+        v = _rng(3).normal(size=10)
+        out = matvec(h, v)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, h.mat @ v)
 
 
 class TestQuadForm:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasesync.certificate import CertTolerances, certify
 from phasesync.hermitian import HermitianMatrix, quad_form
 from phasesync.manifold import align_global_phase, hessian_vec, real_inner
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
@@ -194,6 +195,68 @@ class TestEscape:
         assert rep.converged
         corr = abs(np.vdot(z.vec, rep.x.vec))
         assert 2.0 * (4.0 - corr) <= 1e-8 * 4.0
+
+
+class TestSharedDecompositions:
+    """The solver decomposes C once for its shift and its spectral start, and
+    each certificate S once for both its escape test and its verdict."""
+
+    def test_default_start_is_spectral_init(self):
+        inst = _instance(40, 1.0, 5)
+        x0 = spectral_init(inst.C)
+        # A tolerance this loose declares the start itself critical, and with
+        # escapes off the solver returns it untouched.
+        rep = solve_second_order(inst.C, None, opts=SolverOptions(grad_tol=1e6, max_escapes=0))
+        assert rep.iterations == 0
+        assert np.array_equal(rep.x.vec, x0.vec)
+        for opts in (SolverOptions(max_iters=1), SolverOptions()):
+            a = solve_second_order(inst.C, None, signal=inst.z, opts=opts)
+            b = solve_second_order(inst.C, x0, signal=inst.z, opts=opts)
+            assert a.iterations == b.iterations
+            assert np.array_equal(a.x.vec, b.x.vec)
+
+    def test_certificate_of_converged_run(self):
+        inst = _instance(60, 0.5, 3)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
+        assert rep.converged and rep.escapes == 0
+        assert rep.certificate == certify(inst.C, rep.x)
+        assert rep.certificate.tight and rep.certificate.unique
+
+    def test_certificate_of_unconverged_run(self):
+        inst = _instance(50, 3.0, 9)
+        rep = solve_second_order(inst.C, None, signal=inst.z, opts=SolverOptions(max_iters=1))
+        assert not rep.converged
+        assert rep.certificate == certify(inst.C, rep.x)
+        assert not rep.certificate.tight
+
+    def test_certificate_after_escape(self):
+        data, x = _saddle_pair()
+        rep = solve_second_order(data, x)
+        assert rep.escapes >= 1
+        assert rep.certificate == certify(data, rep.x)
+        assert rep.certificate.tight and rep.certificate.unique
+
+    def test_certificate_with_escape_cap_spent(self):
+        data, x = _saddle_pair()
+        rep = solve_second_order(data, x, opts=SolverOptions(max_escapes=0))
+        assert rep.certificate == certify(data, rep.x)
+        assert not rep.certificate.tight
+
+    def test_certificate_with_nondefault_tolerances(self):
+        inst = _instance(60, 0.5, 3)
+        default = solve_second_order(inst.C, None, signal=inst.z).certificate
+        assert default.unique
+        # A rank gate above the second eigenvalue flips uniqueness.
+        tolerances = CertTolerances(residual_tol=1e-8, psd_tol=-1e-12,
+                                    rank_tol=2.0 * default.second_eig / 60)
+        rep = solve_second_order(inst.C, None, signal=inst.z, tolerances=tolerances)
+        assert rep.certificate == certify(inst.C, rep.x, tolerances)
+        assert rep.certificate.tight and not rep.certificate.unique
+
+    def test_rejects_one_by_one(self):
+        data = HermitianMatrix(np.array([[1.0 + 0j]]))
+        with pytest.raises(ValueError):
+            solve_second_order(data, PhaseVector(np.array([1.0 + 0j])))
 
 
 class TestReportInvariants:
