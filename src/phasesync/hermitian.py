@@ -9,7 +9,10 @@ Everything downstream (instance assembly, certificates, solver shifts) goes
 through this module for eigenvalue work, so the accuracy contract lives here:
 extreme eigenpairs are computed densely up to ``DENSE_EIG_CUTOFF`` and with an
 iterative Lanczos solver above that, and every returned eigenpair carries its
-residual norm so callers never have to trust the backend blindly.
+residual norm so callers never have to trust the backend blindly. A caller
+that only needs to know whether a spectral norm stays under a bound asks
+:func:`norm_at_most`, which decides it with two Cholesky factorizations and
+no eigensolve.
 """
 
 from __future__ import annotations
@@ -38,16 +41,22 @@ class HermitianMatrix:
     The dtype follows the input: a complex-typed input is stored as
     complex128, any other as float64 (real symmetric). Construction averages
     the input with its conjugate transpose, forces the diagonal real, and
-    marks the array read-only. Inputs whose asymmetry exceeds
-    ``HERMITIAN_ATOL`` (relative to the largest entry magnitude) are
-    rejected; route those through :func:`symmetrize` instead.
+    marks the array read-only. Inputs with a NaN or infinite entry, and
+    inputs whose asymmetry exceeds ``HERMITIAN_ATOL`` (relative to the
+    largest entry magnitude), are rejected; route asymmetric input through
+    :func:`symmetrize` instead.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         m = _square_array(self.mat)
-        scale = max(1.0, float(np.max(np.abs(m))))
+        # NaN propagates through np.max but not through max(1.0, ...), so the
+        # finiteness test comes first; NaN would also pass the asymmetry test.
+        peak = float(np.max(np.abs(m)))
+        if not np.isfinite(peak):
+            raise ValueError("matrix has a NaN or infinite entry")
+        scale = max(1.0, peak)
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERMITIAN_ATOL * scale:
             raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e}")
@@ -168,6 +177,29 @@ def operator_norm(h: HermitianMatrix, tol: float = 1e-9) -> float:
         return float(np.abs(h.mat[0, 0]))
     eig = extreme_eigs(h, 1, 1, tol=tol)
     return float(np.max(np.abs(eig.values)))
+
+
+def norm_at_most(h: HermitianMatrix, bound: float) -> bool:
+    """Whether the spectral norm ``||H||`` is at most ``bound``.
+
+    ``||H|| <= bound`` exactly when ``bound I - H`` and ``bound I + H`` are
+    both positive semidefinite, so two Cholesky factorizations decide it
+    without an eigensolve (Rump 2006, "Verification of positive
+    definiteness"). A factorization succeeds only on a positive definite
+    matrix, and its backward error is of order ``n eps ||H||``, the same as
+    that of the eigenvalues :func:`operator_norm` compares; the two answers
+    can differ only when ``||H||`` equals ``bound`` to within rounding (a zero
+    ``H`` against a zero ``bound`` reads false).
+    """
+    diag = np.diag_indices(h.n)
+    for sign in (-1.0, 1.0):
+        shifted = sign * h.mat
+        shifted[diag] += bound
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def matvec(h: HermitianMatrix, vec) -> np.ndarray:

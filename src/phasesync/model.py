@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, matvec, operator_norm
+from .hermitian import HermitianMatrix, matvec, norm_at_most
 
 SIGNAL_STREAM = 0
 WIGNER_STREAM = 1
@@ -107,9 +107,12 @@ class SyncInstance:
 
 @dataclass(frozen=True)
 class DiscordanceReport:
-    """Noise-regularity check: measured norms against their thresholds."""
+    """Noise-regularity check. ``opnorm_ok`` is the decision
+    ``||W|| <= opnorm_bound`` (the norm itself is never computed; see
+    :func:`~phasesync.hermitian.norm_at_most`), ``inf_Wz`` the measured
+    ``||W z||_inf`` against ``inf_bound``."""
 
-    opnorm_W: float
+    opnorm_ok: bool
     opnorm_bound: float
     inf_Wz: float
     inf_bound: float
@@ -172,7 +175,6 @@ def assemble_instance(signal: PhaseVector, noise: HermitianMatrix, sigma: float,
 def is_discordant(
     noise: HermitianMatrix,
     signal: PhaseVector,
-    tol: float = 1e-9,
     opnorm_const: float = 3.0,
     inf_const: float = 3.0,
 ) -> DiscordanceReport:
@@ -180,24 +182,25 @@ def is_discordant(
     on: ``||W|| <= opnorm_const * sqrt(n)`` and
     ``||W z||_inf <= inf_const * sqrt(n log n)`` (natural log).
 
-    ``tol`` is the eigensolver accuracy used for the operator norm. The
-    constants are parameters so experiments can probe how sensitive the
-    regularity event is to them; defaults are the values the closed-form
-    bounds assume.
+    The operator-norm event is decided by Cholesky factorizations of
+    ``opnorm_const * sqrt(n) * I -/+ W`` (:func:`norm_at_most`), without an
+    eigensolve. The constants are parameters so experiments can probe how
+    sensitive the regularity event is to them; defaults are the values the
+    closed-form bounds assume.
     """
     if noise.n != signal.n:
         raise ValueError("noise and signal sizes disagree")
     n = noise.n
-    opnorm = operator_norm(noise, tol=tol)
     op_bound = opnorm_const * math.sqrt(n)
+    opnorm_ok = norm_at_most(noise, op_bound)
     inf_wz = float(np.max(np.abs(matvec(noise, signal.vec))))
     inf_bound = inf_const * math.sqrt(n * math.log(n))
     return DiscordanceReport(
-        opnorm_W=opnorm,
+        opnorm_ok=opnorm_ok,
         opnorm_bound=op_bound,
         inf_Wz=inf_wz,
         inf_bound=inf_bound,
-        discordant=bool(opnorm <= op_bound and inf_wz <= inf_bound),
+        discordant=bool(opnorm_ok and inf_wz <= inf_bound),
     )
 
 
@@ -220,7 +223,7 @@ def noise_tail_stats(
         z = random_signal(n, seed)
         w = sample_wigner(n, seed)
         rep = is_discordant(w, z, opnorm_const=opnorm_const, inf_const=inf_const)
-        if rep.opnorm_W > rep.opnorm_bound:
+        if not rep.opnorm_ok:
             op_exceed += 1
         if rep.inf_Wz > rep.inf_bound:
             inf_exceed += 1

@@ -14,6 +14,8 @@ from phasesync.cli import main
 from phasesync.experiment import TRIAL_COLUMNS
 from phasesync.serialize import read_instance, read_phase_vector
 
+from test_serialize import poison_instance_file
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -115,6 +117,18 @@ class TestCertify:
                                "--x", str(x_path))
         assert code == 1
         assert "'W' marker" in err
+
+    def test_non_finite_instance_clean_exit(self, capsys, tmp_path):
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        run_cli(capsys, "solve", "--n", "6", "--sigma", "0.3", "--seed", "2",
+                "--dump-instance", str(inst_path), "--dump-x", str(x_path))
+        poison_instance_file(inst_path)
+        code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
+                                 "--x", str(x_path))
+        assert code == 1
+        assert not out
+        assert "NaN or infinite" in err
 
     def test_eigensolver_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         from phasesync import certificate

@@ -13,6 +13,7 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync.certificate import build_certificate
 from phasesync.model import assemble_instance, random_signal, sample_wigner, trial_seed
+from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
 
 
 def _write_config(tmp_path, text):
@@ -201,31 +202,34 @@ def _watch_eigh(monkeypatch, allowed=None):
 
 
 class TestEigensolves:
-    def test_complex_trial_decomposes_w_c_and_s_once_each(self, monkeypatch):
+    # The noise-norm event is decided by Cholesky factorizations, so W is
+    # never decomposed.
+    def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
         n, sigma, seed = 12, 0.3, 5
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
         assert rep.escapes == 0
         s = build_certificate(inst.C, rep.x)
         log = _watch_eigh(monkeypatch)
         again = run_trial(n, sigma, seed)
-        assert len(log) == 3
-        assert set(log) == {_digest(m) for m in (inst.W.mat, inst.C.mat, s.mat)}
+        assert len(log) == 2
+        assert set(log) == {_digest(m) for m in (inst.C.mat, s.mat)}
         assert trial_csv_row(again) == trial_csv_row(rec)
 
-    def test_real_trial_decomposes_w_and_s_once_each(self, monkeypatch):
+    def test_real_trial_decomposes_s_once(self, monkeypatch):
+        n, sigma, seed = 12, 0.5, 5
+        s = real_certificate(random_signs(n, seed), sample_real_wigner(n, seed), sigma)
         log = _watch_eigh(monkeypatch)
-        run_real_trial(12, 0.5, 5)
-        assert len(log) == 2
-        assert len(set(log)) == 2
+        run_real_trial(n, sigma, seed)
+        assert log == [_digest(s.mat)]
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
-        # Only W and C decompose; the certificate's eigensolve fails. The
-        # trial reports the failure as not tight instead of raising.
+        # Only C decomposes; the certificate's eigensolve fails. The trial
+        # reports the failure as not tight instead of raising.
         n, sigma, seed = 12, 0.3, 5
         z = random_signal(n, seed)
         w = sample_wigner(n, seed)
         inst = assemble_instance(z, w, sigma, seed)
-        _watch_eigh(monkeypatch, allowed={_digest(w.mat), _digest(inst.C.mat)})
+        _watch_eigh(monkeypatch, allowed={_digest(inst.C.mat)})
         rec = run_trial(n, sigma, seed)
         assert not rec.tight and not rec.unique
         assert math.isnan(rec.min_eig_S)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import phasesync.hermitian as hermitian
 from phasesync.hermitian import (DENSE_EIG_CUTOFF, HermitianMatrix, extreme_eigs, matvec,
-                                 operator_norm, quad_form, symmetrize)
+                                 norm_at_most, operator_norm, quad_form, symmetrize)
+from phasesync.model import sample_wigner
+from phasesync.z2 import sample_real_wigner
 
 from reference import jacobi_eigvalsh, power_opnorm, quad_form_loops
 
@@ -57,6 +59,18 @@ class TestHermitianMatrix:
     def test_rejects_asymmetric_real(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, dtype, bad):
+        # A NaN pair is symmetric and compares false, so only an explicit
+        # finiteness test catches it.
+        m = np.zeros((3, 3), dtype=dtype)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            HermitianMatrix(m)
+        with pytest.raises(ValueError, match="NaN or infinite"), np.errstate(invalid="ignore"):
+            symmetrize(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -185,6 +199,20 @@ class TestOperatorNorm:
     def test_dominates_row_column_entries(self, seed):
         h = _random_hermitian(6, seed)
         assert operator_norm(h) >= np.abs(h.mat).max() - 1e-9
+
+
+class TestNormAtMost:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3, 12, 25, 60])
+    def test_matches_eigensolver_decision(self, kind, n):
+        sample = sample_real_wigner if kind == "real" else sample_wigner
+        for seed in range(3):
+            h = sample(n, seed)
+            norm = operator_norm(h)
+            bounds = [3.0 * np.sqrt(n), 0.01 * np.sqrt(n)]
+            bounds += [norm * (1.0 + s * r) for r in (1e-9, 1e-6) for s in (-1.0, 1.0)]
+            for bound in bounds:
+                assert norm_at_most(h, bound) == (norm <= bound), (seed, bound / norm)
 
 
 class TestMatvec:

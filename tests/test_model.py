@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasesync.hermitian import operator_norm
 from phasesync.model import (PhaseVector, SyncInstance, assemble_instance,
                              is_discordant, noise_tail_stats, philox_stream,
                              random_signal, sample_wigner, trial_seed)
@@ -154,21 +155,32 @@ class TestDiscordance:
         rep = is_discordant(w, z)
         assert rep.opnorm_bound == pytest.approx(3.0 * math.sqrt(60))
         assert rep.inf_bound == pytest.approx(3.0 * math.sqrt(60 * math.log(60)))
-        assert rep.discordant == (rep.opnorm_W <= rep.opnorm_bound
-                                  and rep.inf_Wz <= rep.inf_bound)
+        assert rep.discordant == (rep.opnorm_ok and rep.inf_Wz <= rep.inf_bound)
+        assert rep.opnorm_ok == (operator_norm(w) <= rep.opnorm_bound)
 
     def test_norms_match_direct_computation(self):
         z = random_signal(25, 8)
         w = sample_wigner(25, 8)
         rep = is_discordant(w, z)
         assert rep.inf_Wz == pytest.approx(float(np.abs(w.mat @ z.vec).max()), rel=1e-12)
-        assert rep.opnorm_W == pytest.approx(power_opnorm(np.asarray(w.mat), seed=8), rel=1e-7)
+        assert operator_norm(w) == pytest.approx(power_opnorm(np.asarray(w.mat), seed=8), rel=1e-7)
 
     def test_constant_knobs(self):
         z = random_signal(30, 1)
         w = sample_wigner(30, 1)
         strict = is_discordant(w, z, opnorm_const=0.01, inf_const=0.01)
         assert not strict.discordant
+
+    def test_opnorm_gate_flips_at_the_norm(self):
+        n = 40
+        z = random_signal(n, 6)
+        w = sample_wigner(n, 6)
+        assert is_discordant(w, z).inf_Wz <= 3.0 * math.sqrt(n * math.log(n))
+        c = operator_norm(w) / math.sqrt(n)
+        below = is_discordant(w, z, opnorm_const=c * (1.0 - 1e-9))
+        above = is_discordant(w, z, opnorm_const=c * (1.0 + 1e-9))
+        assert not below.opnorm_ok and not below.discordant
+        assert above.opnorm_ok and above.discordant
 
     @given(st.integers(0, 2**31 - 1))
     def test_phase_invariance_of_opnorm_event(self, seed):
@@ -180,7 +192,7 @@ class TestDiscordance:
         a = is_discordant(w, z)
         zr = PhaseVector(z.vec * np.exp(0.7j))
         b = is_discordant(w, zr)
-        assert a.opnorm_W == b.opnorm_W
+        assert a.opnorm_ok == b.opnorm_ok
         assert b.inf_Wz == pytest.approx(a.inf_Wz, rel=1e-12)
 
 

@@ -128,6 +128,14 @@ class TestInstanceRoundTrip:
         with pytest.raises(ValueError):
             read_instance(path)
 
+    def test_non_finite_entries_rejected(self, tmp_path):
+        inst = _instance(4, 0.3, 12)
+        path = tmp_path / "inst.txt"
+        write_instance(inst, path)
+        poison_instance_file(path)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            read_instance(path)
+
     def test_inconsistent_noise_rejected(self, tmp_path):
         # Swap in a fresh W without updating C; the C = zz* + sigma W glue
         # check in the instance constructor has to notice.
@@ -142,6 +150,20 @@ class TestInstanceRoundTrip:
         path.write_text(text.replace(w_block_old, w_block_new))
         with pytest.raises(ValueError):
             read_instance(path)
+
+
+def poison_instance_file(path):
+    """Overwrite the (0, 1) and (1, 0) entries of W and of C in an instance
+    file with NaN. The pairs stay symmetric and C still matches
+    ``z z* + sigma W`` as far as NaN comparisons can tell."""
+    lines = path.read_text().splitlines()
+    for marker in ("W", "C"):
+        top = lines.index(marker) + 2
+        for row, col in ((0, 1), (1, 0)):
+            toks = lines[top + row].split()
+            toks[2 * col] = "nan"
+            lines[top + row] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _matrix_block(h):
