@@ -12,8 +12,7 @@ from .metrics import (BoundReport, evaluate_bounds, l2_error, linf_error,
 from .model import (DiscordanceReport, PhaseVector, SyncInstance, TailStats,
                     assemble_instance, is_discordant, noise_tail_stats,
                     philox_stream, random_signal, sample_wigner, trial_seed)
-from .solver import (SolverOptions, SolverReport, escape_direction,
-                     solve_second_order, spectral_init)
+from .solver import SolverOptions, SolverReport, solve_second_order, spectral_init
 from .z2 import SignVector, random_signs, real_certificate, sample_real_wigner
 
 __version__ = "0.1.0"
@@ -23,7 +22,7 @@ __all__ = [
     "EigenResult", "EigensolverError", "HermitianMatrix", "PhaseVector",
     "SignVector", "SolverOptions", "SolverReport", "SyncInstance", "TailStats",
     "TangentVector", "align_global_phase", "assemble_instance",
-    "build_certificate", "certify", "escape_direction", "evaluate_bounds",
+    "build_certificate", "certify", "evaluate_bounds",
     "extreme_eigs", "hessian_vec",
     "is_discordant", "l2_error", "linf_error", "noise_tail_stats",
     "operator_norm", "philox_stream", "project_tangent", "quad_form",

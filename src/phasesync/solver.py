@@ -116,37 +116,6 @@ def spectral_init(data: HermitianMatrix) -> PhaseVector:
     return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
 
 
-def escape_direction(
-    data: HermitianMatrix,
-    point: PhaseVector,
-    tol: float,
-    grad_tol: float = 1e-10,
-) -> TangentVector | None:
-    """Unit tangent direction of negative curvature at a critical point.
-
-    Requires an approximately first-order critical ``point`` (gradient norm
-    at most ``10 * grad_tol * n``); the certificate spectrum only encodes the
-    Hessian there. Returns None when the smallest certificate eigenvalue
-    clears ``-tol * n``, or when neither candidate direction derived from its
-    eigenvector has negative Rayleigh curvature. The solver makes the same
-    decision on the decomposition its certificate verdict already holds.
-    """
-    if data.n != point.n:
-        raise ValueError("matrix and point sizes disagree")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n = data.n
-    w = data.mat @ point.vec
-    gn = float(np.linalg.norm(_grad_dir(w, point.vec)))
-    if gn > 10.0 * grad_tol * n:
-        raise ValueError(
-            f"escape_direction needs an approximately critical point: "
-            f"gradient norm {gn:.3e} exceeds {10.0 * grad_tol * n:.3e}"
-        )
-    return _negative_curvature(data, point, extreme_eigs(build_certificate(data, point), 1, 0),
-                               tol)
-
-
 def _negative_curvature(data: HermitianMatrix, point: PhaseVector, eig: EigenResult,
                         tol: float) -> TangentVector | None:
     # ``eig`` holds the bottom eigenpair of the certificate at ``point`` in its

@@ -6,10 +6,15 @@ are exercised the same way the console script sees them.
 
 import csv
 import io
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phasesync
 from phasesync.cli import main
 from phasesync.experiment import TRIAL_COLUMNS
 from phasesync.serialize import read_instance, read_phase_vector
@@ -99,6 +104,28 @@ class TestCertify:
         assert code == 0
         row = parse_table(out)[0]
         assert row["tight"] == "false"
+
+    def test_round_trip_without_scipy(self, tmp_path):
+        # A None entry in sys.modules makes every scipy import fail, so the
+        # package must run on numpy alone.
+        script = f"""
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {str(Path(phasesync.__file__).parents[1])!r})
+from phasesync.cli import main
+inst, x = {str(tmp_path / "inst.txt")!r}, {str(tmp_path / "x.txt")!r}
+codes = [main(["solve", "--n", "30", "--sigma", "0.5", "--seed", "2",
+               "--dump-instance", inst, "--dump-x", x]),
+         main(["certify", "--instance", inst, "--x", x])]
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+print(json.dumps([codes, loaded]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert loaded == []
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "certify", "--instance", str(tmp_path / "no.txt"),

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import CertTolerances, certify
-from phasesync.hermitian import HermitianMatrix, quad_form
+from phasesync.certificate import CertTolerances, build_certificate, certify
+from phasesync.hermitian import HermitianMatrix, extreme_eigs, quad_form
 from phasesync.manifold import align_global_phase, hessian_vec, real_inner
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import (SolverOptions, escape_direction, solve_second_order,
+from phasesync.solver import (SolverOptions, _negative_curvature, solve_second_order,
                               spectral_init)
 
 
@@ -149,10 +149,16 @@ class TestRestartFromPlanted:
         assert rep.beat_planted is None
 
 
+def _escape_direction(data, point):
+    # The solver's escape decision, on the bottom certificate eigenpair.
+    return _negative_curvature(data, point, extreme_eigs(build_certificate(data, point), 1, 0),
+                               1e-10)
+
+
 class TestEscape:
     def test_direction_at_engineered_saddle(self):
         data, x = _saddle_pair()
-        d = escape_direction(data, x, 1e-10)
+        d = _escape_direction(data, x)
         assert d is not None
         assert d.norm() == pytest.approx(1.0, abs=1e-12)
         curv = real_inner(d.dir, hessian_vec(data, x, d).dir)
@@ -161,13 +167,8 @@ class TestEscape:
     def test_none_at_global_optimum(self):
         data, _ = _saddle_pair()
         opt = PhaseVector(np.array([1.0 + 0j, -1.0 + 0j]))
-        assert escape_direction(data, opt, 1e-10) is None
-
-    def test_rejects_noncritical_point(self):
-        inst = _instance(10, 1.0, 6)
-        far = random_signal(10, 777)
-        with pytest.raises(ValueError, match="critical"):
-            escape_direction(inst.C, far, 1e-10)
+        assert _escape_direction(data, opt) is None
+        assert solve_second_order(data, opt).escapes == 0
 
     def test_solver_escapes_saddle_to_optimum(self):
         data, x = _saddle_pair()
