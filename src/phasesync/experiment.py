@@ -152,8 +152,7 @@ def run_trial_detailed(
     disc = is_discordant(w, z)
     rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts, tolerances=tolerances)
     cert = rep_solve.certificate
-    bounds = evaluate_bounds(inst, rep_solve.x, discordant=disc.discordant,
-                             beat_planted=rep_solve.beat_planted)
+    bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
     cost_z = quad_form(inst.C, z.vec)
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
@@ -196,17 +195,19 @@ def run_real_trial(
 ) -> TrialRecord:
     """Real-case trial: evaluate the closed-form certificate at the planted
     signs. No iterative solve is involved, so ``converged`` is always true
-    and the cost columns both carry the planted cost."""
+    and the cost columns both carry the planted cost ``z^T C z``, taken as
+    ``n^2 + sigma z^T W z`` (``W`` has a zero diagonal). Everything stays in
+    float64 on the real ``W`` and ``z``; the data matrix ``C`` is never
+    formed."""
     t0 = time.perf_counter()
 
     z = random_signs(n, seed)
     w = sample_real_wigner(n, seed)
-    zp = PhaseVector(z.vec.astype(np.complex128))
-    inst = assemble_instance(zp, w, sigma, seed)
+    zp = PhaseVector(z.vec)
     disc = is_discordant(w, zp)
     cert = verdict(real_certificate(z, w, sigma), z.vec, tolerances)
-    bounds = evaluate_bounds(inst, zp, discordant=disc.discordant, beat_planted=True)
-    cost_z = quad_form(inst.C, zp.vec)
+    bounds = evaluate_bounds(zp, w, sigma, zp)
+    cost_z = n * n + sigma * float(z.vec @ (w.mat @ z.vec))
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(

@@ -7,6 +7,11 @@ the computed correlation |z* x| carries summation noise of order
 n * sqrt(n) * eps, which the strict comparison "0 <= 0" would misread as a
 bound violation. The slacks are far below any error the bounds could
 meaningfully miss.
+
+The bounds are conditional: they are in force on a trial whose noise draw is
+discordant and whose estimate matches or beats the planted cost, the
+``discordant`` and ``beat_planted`` columns every trial record carries. On a
+trial where either is false, a false flag is not a defect.
 """
 
 from __future__ import annotations
@@ -16,17 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import matvec, quad_form
+from .hermitian import HermitianMatrix
 from .manifold import align_global_phase
-from .model import PhaseVector, SyncInstance, is_discordant
+from .model import PhaseVector
 
 # Additive arithmetic slack for the flag comparisons (see module docstring).
 L2_FLAG_SLACK = 1e-6
 LINF_FLAG_SLACK = 1e-6
-
-# Cost slack for "matched or beat the planted signal", scaled by n^2 (the
-# magnitude of the cost itself).
-BEAT_COST_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,8 @@ class BoundReport:
     the entrywise bound ``6 (sqrt(log n) + 29 sigma) sigma / sqrt(n)``;
     ``wx_bound`` the noise-at-estimate bound
     ``36 sigma sqrt(n) + 3 sqrt(n log n)``. Each ``*_ok`` flag records
-    measured <= bound (plus arithmetic slack). ``binding`` says whether the
-    bounds are actually in force for this trial: they are conditional on a
-    discordant noise draw and on the estimate matching or beating the planted
-    cost, so on a non-binding trial a false flag is not a defect.
+    measured <= bound (plus arithmetic slack). The flags bind only on a trial
+    that is ``discordant and beat_planted`` (see the module docstring).
     ``suff_cond_ok`` and ``thm_threshold_ok`` are the two noise-level
     conditions under which tightness is guaranteed (the sharp inequality and
     the simpler n^(1/4)-scale threshold).
@@ -58,7 +57,6 @@ class BoundReport:
     wx_ok: bool
     suff_cond_ok: bool
     thm_threshold_ok: bool
-    binding: bool
 
 
 def l2_error(point: PhaseVector, signal: PhaseVector) -> float:
@@ -93,42 +91,27 @@ def tightness_threshold(n: int) -> float:
     return n ** 0.25 / 18.0
 
 
-def evaluate_bounds(
-    instance: SyncInstance,
-    point: PhaseVector,
-    discordant: bool | None = None,
-    beat_planted: bool | None = None,
-) -> BoundReport:
-    """Measure the errors of ``point`` against the planted signal and test
-    every closed-form bound. ``discordant`` can be passed in when the caller
-    already ran the noise-regularity check, and ``beat_planted`` when it
-    already compared the cost of ``point`` with the planted cost (within
-    ``BEAT_COST_SLACK * n^2``); None recomputes either."""
-    if point.n != instance.n:
-        raise ValueError("point size does not match instance")
-    n = instance.n
-    sigma = instance.sigma
-    z = instance.z
+def evaluate_bounds(signal: PhaseVector, noise: HermitianMatrix, sigma: float,
+                    point: PhaseVector) -> BoundReport:
+    """Measure the errors of ``point`` against the planted ``signal`` and test
+    every closed-form bound of the instance ``signal``, ``noise``, ``sigma``
+    (the arguments of :func:`~phasesync.model.assemble_instance`)."""
+    if point.n != signal.n or noise.n != signal.n:
+        raise ValueError("point, signal and noise sizes disagree")
+    n = signal.n
 
-    corr = abs(complex(np.vdot(z.vec, point.vec)))
-    l2 = l2_error(point, z)
+    corr = abs(complex(np.vdot(signal.vec, point.vec)))
+    l2 = l2_error(point, signal)
     if corr == 0.0:
         # Orthogonal estimate: no alignment exists, report the diameter.
         linf = 2.0
     else:
-        linf = linf_error(point, z)
+        linf = linf_error(point, signal)
 
     lemma2_bound = 12.0 * sigma
     lemma3_bound = 6.0 * (math.sqrt(math.log(n)) + 29.0 * sigma) * sigma / math.sqrt(n)
-    wx_inf = float(np.max(np.abs(matvec(instance.W, point.vec))))
+    wx_inf = float(np.max(np.abs(noise.mat @ point.vec)))
     wx_bound = 36.0 * sigma * math.sqrt(n) + 3.0 * math.sqrt(n * math.log(n))
-
-    if discordant is None:
-        discordant = is_discordant(instance.W, z).discordant
-    if beat_planted is None:
-        cost_x = quad_form(instance.C, point.vec)
-        cost_z = quad_form(instance.C, z.vec)
-        beat_planted = cost_x >= cost_z - BEAT_COST_SLACK * n * n
 
     return BoundReport(
         l2_err=l2,
@@ -143,5 +126,4 @@ def evaluate_bounds(
         wx_ok=bool(wx_inf <= wx_bound + LINF_FLAG_SLACK),
         suff_cond_ok=sufficient_noise_condition(n, sigma),
         thm_threshold_ok=bool(sigma <= tightness_threshold(n)),
-        binding=bool(discordant and beat_planted),
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, matvec, norm_at_most
+from .hermitian import HermitianMatrix, norm_at_most
 
 SIGNAL_STREAM = 0
 WIGNER_STREAM = 1
@@ -51,12 +51,14 @@ def trial_seed(seed_base: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class PhaseVector:
-    """Complex vector with unit-modulus entries, a point on the torus."""
+    """Vector with unit-modulus entries, a point on the torus. The dtype rule
+    is that of :class:`HermitianMatrix`: complex128 for a complex-typed input,
+    else float64, so a real sign vector stays real."""
 
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vec, dtype=np.complex128)
+        v = np.asarray(self.vec, dtype=np.complex128 if np.iscomplexobj(self.vec) else np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
         drift = float(np.max(np.abs(np.abs(v) - 1.0)))
@@ -193,7 +195,7 @@ def is_discordant(
     n = noise.n
     op_bound = opnorm_const * math.sqrt(n)
     opnorm_ok = norm_at_most(noise, op_bound)
-    inf_wz = float(np.max(np.abs(matvec(noise, signal.vec))))
+    inf_wz = float(np.max(np.abs(noise.mat @ signal.vec)))
     inf_bound = inf_const * math.sqrt(n * math.log(n))
     return DiscordanceReport(
         opnorm_ok=opnorm_ok,

@@ -22,11 +22,7 @@ from .model import PhaseVector, SyncInstance
 
 
 def _fmt_row(row: np.ndarray) -> str:
-    parts = []
-    for v in row:
-        parts.append(f"{v.real:.17g}")
-        parts.append(f"{v.imag:.17g}")
-    return " ".join(parts)
+    return " ".join(map("{:.17g}".format, np.asarray(row, dtype=np.complex128).view(np.float64).tolist()))
 
 
 def _parse_complex_row(line: str, n: int, where: str) -> np.ndarray:

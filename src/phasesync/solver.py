@@ -37,13 +37,16 @@ from .certificate import (CertificateReport, CertTolerances, _verdict, build_cer
                           certify)
 from .hermitian import EigenResult, HermitianMatrix, extreme_eigs
 from .manifold import PhaseVector, TangentVector, hessian_vec, project_tangent, real_inner, retract
-from .metrics import BEAT_COST_SLACK
 
 logger = logging.getLogger(__name__)
 
 # Entry moduli below this are left at their previous phase during a power
 # step; the phase of a zero is undefined.
 PHASE_FLOOR = 1e-14
+
+# Cost slack for "matched or beat the planted signal", scaled by n^2 (the
+# magnitude of the cost itself).
+BEAT_COST_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def solve_second_order(
     data: HermitianMatrix,
     x0: PhaseVector | None = None,
     signal: PhaseVector | None = None,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions = SolverOptions(),
     tolerances: CertTolerances = CertTolerances(),
 ) -> SolverReport:
     """Run the full ascent from ``x0``, or from the spectral start when it is
@@ -168,8 +171,6 @@ def solve_second_order(
     eigensolver failure on the certificate is reported in the verdict's
     ``error`` (and no escape is tried); non-convergence within ``max_iters``
     power steps is reported, not raised."""
-    if opts is None:
-        opts = SolverOptions()
     if x0 is not None and data.n != x0.n:
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:

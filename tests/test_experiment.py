@@ -11,8 +11,11 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   curve_values, emit_curves, parse_grid_config,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
+from phasesync import experiment, model
 from phasesync.certificate import build_certificate
-from phasesync.model import assemble_instance, random_signal, sample_wigner, trial_seed
+from phasesync.hermitian import quad_form
+from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
+                             trial_seed)
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
 
 
@@ -154,6 +157,23 @@ class TestTrialRecords:
         assert rec.cost_x == rec.cost_z
         assert rec.grad_norm == pytest.approx(2.0 * rec.residual)
         assert rec.tight
+
+    def test_real_trial_assembles_no_data_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real trial must not assemble C")
+
+        for module in (model, experiment):
+            monkeypatch.setattr(module, "assemble_instance", refuse)
+        rec = run_real_trial(40, 1.0, seed=5)
+        assert rec.tight and rec.discordant
+
+    @pytest.mark.parametrize("n, sigma, seed", [(40, 1.0, 5), (60, 4.0, 8), (25, 0.0, 2)])
+    def test_real_trial_cost_is_planted_quadratic_form(self, n, sigma, seed):
+        rec = run_real_trial(n, sigma, seed)
+        z = PhaseVector(random_signs(n, seed).vec)
+        assert z.vec.dtype == np.float64
+        inst = assemble_instance(z, sample_real_wigner(n, seed), sigma, seed)
+        assert rec.cost_z == pytest.approx(quad_form(inst.C, z.vec), rel=1e-14, abs=0.0)
 
     def test_real_trial_strong_noise_not_tight(self):
         rec = run_real_trial(40, 12.0, seed=6)

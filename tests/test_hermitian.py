@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import (HermitianMatrix, extreme_eigs, matvec, norm_at_most,
+from phasesync.hermitian import (HermitianMatrix, extreme_eigs, norm_at_most,
                                  operator_norm, quad_form, symmetrize)
 from phasesync.model import sample_wigner
 from phasesync.z2 import sample_real_wigner
@@ -198,28 +198,6 @@ class TestNormAtMost:
             bounds += [norm * (1.0 + s * r) for r in (1e-9, 1e-6) for s in (-1.0, 1.0)]
             for bound in bounds:
                 assert norm_at_most(h, bound) == (norm <= bound), (seed, bound / norm)
-
-
-class TestMatvec:
-    @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_cast_product(self, kind):
-        n = 40
-        h = _random_symmetric(n, 8) if kind == "real" else _random_hermitian(n, 8)
-        rng = _rng(9)
-        v = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-        out = matvec(h, v)
-        ref = h.mat.astype(np.complex128) @ v
-        assert out.dtype == np.complex128
-        assert np.max(np.abs(out - ref)) <= 1e-14 * n * np.abs(h.mat).max()
-        if kind == "complex":
-            assert np.array_equal(out, h.mat @ v)
-
-    def test_real_vector_stays_real(self):
-        h = _random_symmetric(10, 2)
-        v = _rng(3).normal(size=10)
-        out = matvec(h, v)
-        assert out.dtype == np.float64
-        assert np.array_equal(out, h.mat @ v)
 
 
 class TestQuadForm:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from phasesync.manifold import AlignmentError
 from phasesync.metrics import (evaluate_bounds, l2_error, linf_error,
                                sufficient_noise_condition, tightness_threshold)
-from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import SolverOptions, solve_second_order, spectral_init
+from phasesync.model import (PhaseVector, assemble_instance, is_discordant, random_signal,
+                             sample_wigner)
+from phasesync.solver import solve_second_order, spectral_init
 
 from reference import min_phase_distance
 
@@ -94,11 +95,15 @@ class TestThresholds:
         assert all(not v for v in values[first_false:])
 
 
+def _bounds(inst, point):
+    return evaluate_bounds(inst.z, inst.W, inst.sigma, point)
+
+
 class TestEvaluateBounds:
     def test_sigma_zero_all_flags_true(self):
         inst = _instance(40, 0.0, 6)
         rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
-        bounds = evaluate_bounds(inst, rep.x)
+        bounds = _bounds(inst, rep.x)
         assert bounds.l2_err <= 1e-4
         assert bounds.lemma2_bound == 0.0
         assert bounds.lemma2_ok
@@ -111,8 +116,9 @@ class TestEvaluateBounds:
         sigma = tightness_threshold(n)
         inst = _instance(n, sigma, 7)
         rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
-        bounds = evaluate_bounds(inst, rep.x)
-        assert bounds.binding
+        bounds = _bounds(inst, rep.x)
+        # The bounds are in force on this trial.
+        assert is_discordant(inst.W, inst.z).discordant and rep.beat_planted
         assert bounds.lemma2_ok
         assert bounds.lemma3_ok
         assert bounds.wx_ok
@@ -121,7 +127,7 @@ class TestEvaluateBounds:
 
     def test_bound_values(self):
         inst = _instance(50, 0.4, 8)
-        bounds = evaluate_bounds(inst, inst.z)
+        bounds = _bounds(inst, inst.z)
         assert bounds.lemma2_bound == pytest.approx(4.8)
         assert bounds.lemma3_bound == pytest.approx(
             6.0 * (math.sqrt(math.log(50)) + 29.0 * 0.4) * 0.4 / math.sqrt(50))
@@ -129,41 +135,9 @@ class TestEvaluateBounds:
             36.0 * 0.4 * math.sqrt(50) + 3.0 * math.sqrt(50 * math.log(50)))
         assert bounds.wx_inf == pytest.approx(float(np.abs(inst.W.mat @ inst.z.vec).max()))
 
-    def test_binding_false_when_not_beating_plant(self):
-        # A deliberately bad estimate scores below the planted signal, so the
-        # conditional bounds are not in force.
-        inst = _instance(30, 0.2, 9)
-        bad = random_signal(30, 12345)
-        bounds = evaluate_bounds(inst, bad)
-        assert not bounds.binding
-
-    def test_discordant_override_respected(self):
-        inst = _instance(20, 0.1, 10)
-        a = evaluate_bounds(inst, inst.z, discordant=False)
-        assert not a.binding
-        b = evaluate_bounds(inst, inst.z, discordant=True)
-        assert b.binding
-
-    def test_passed_beat_flag_matches_recomputed(self):
-        # The solver compares the same two costs with the same slack, so its
-        # flag can stand in for the recomputation. A converged solve from the
-        # spectral start beats the plant; one power step from a random start
-        # does not.
-        inst = _instance(40, 0.5, 14)
-        starts = ((spectral_init(inst.C), 500), (random_signal(40, 999), 1))
-        flags = []
-        for x0, max_iters in starts:
-            rep = solve_second_order(inst.C, x0, signal=inst.z,
-                                     opts=SolverOptions(max_iters=max_iters))
-            passed = evaluate_bounds(inst, rep.x, discordant=True,
-                                     beat_planted=rep.beat_planted)
-            assert passed == evaluate_bounds(inst, rep.x, discordant=True)
-            flags.append(passed.binding)
-        assert flags == [True, False]
-
     def test_correlation_field(self):
         inst = _instance(25, 0.5, 11)
-        bounds = evaluate_bounds(inst, inst.z)
+        bounds = _bounds(inst, inst.z)
         assert bounds.correlation == pytest.approx(25.0, rel=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
@@ -171,7 +145,7 @@ class TestEvaluateBounds:
     def test_flags_consistent_with_measurements(self, seed):
         inst = _instance(15, 1.0, seed)
         x = random_signal(15, seed + 3)
-        bounds = evaluate_bounds(inst, x)
+        bounds = _bounds(inst, x)
         assert bounds.lemma2_ok == (bounds.l2_err <= bounds.lemma2_bound + 1e-6 * math.sqrt(15))
         assert bounds.lemma3_ok == (bounds.linf_err <= bounds.lemma3_bound + 1e-6)
         assert bounds.wx_ok == (bounds.wx_inf <= bounds.wx_bound + 1e-6)
@@ -179,4 +153,6 @@ class TestEvaluateBounds:
     def test_size_mismatch(self):
         inst = _instance(10, 0.5, 13)
         with pytest.raises(ValueError):
-            evaluate_bounds(inst, random_signal(11, 0))
+            _bounds(inst, random_signal(11, 0))
+        with pytest.raises(ValueError):
+            evaluate_bounds(inst.z, sample_wigner(11, 0), 0.5, inst.z)

@@ -49,6 +49,12 @@ class TestPhaseVector:
         with pytest.raises(ValueError, match="unit modulus"):
             PhaseVector(v)
 
+    def test_dtype_follows_input(self):
+        assert PhaseVector(np.array([1.0, -1.0, 1.0])).vec.dtype == np.float64
+        assert PhaseVector([1, -1]).vec.dtype == np.float64
+        assert PhaseVector(np.array([1.0, -1.0], dtype=complex)).vec.dtype == np.complex128
+        assert PhaseVector(np.exp(1j * np.linspace(0, 5, 7))).vec.dtype == np.complex128
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
             PhaseVector(np.zeros(0, dtype=complex))

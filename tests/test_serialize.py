@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.model import assemble_instance, random_signal, sample_wigner
-from phasesync.serialize import (read_instance, read_phase_vector, write_instance,
+from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
+from phasesync.serialize import (_fmt_row, read_instance, read_phase_vector, write_instance,
                                  write_phase_vector)
 
 
@@ -12,6 +12,24 @@ def _instance(n, sigma, seed):
     z = random_signal(n, seed)
     w = sample_wigner(n, seed)
     return assemble_instance(z, w, sigma, seed)
+
+
+class TestRowFormat:
+    # The file format: 17 significant digits of the real part, then of the
+    # imaginary part, of every entry, signed zeros kept.
+    @pytest.mark.parametrize("row", [
+        np.array([1.0, -0.0, 0.1, -2.5e-300, 1e300, 5e-324]),
+        np.array([1 + 0j, complex(-0.0, -0.0), complex(0.1, -0.0), complex(-1e-17, 3.3)]),
+    ], ids=["real", "complex"])
+    def test_matches_entrywise_format(self, row):
+        want = " ".join(f"{part:.17g}" for v in row for part in (v.real, v.imag))
+        assert _fmt_row(row) == want
+
+    def test_real_phase_vector_file(self, tmp_path):
+        path = tmp_path / "x.txt"
+        write_phase_vector(PhaseVector(np.array([1.0, -1.0, -1.0])), path)
+        assert path.read_text() == "3\n1 0 -1 0 -1 0\n"
+        assert np.array_equal(read_phase_vector(path).vec, [1.0, -1.0, -1.0])
 
 
 class TestMatrixRoundTrip:

@@ -148,6 +148,20 @@ class TestRestartFromPlanted:
         rep = solve_second_order(inst.C, spectral_init(inst.C))
         assert rep.beat_planted is None
 
+    def test_beat_flag_compares_with_planted_cost(self):
+        # A converged solve from the spectral start beats the plant; one power
+        # step from a random start does not.
+        n = 40
+        inst = _instance(n, 0.5, 14)
+        planted = quad_form(inst.C, inst.z.vec)
+        flags = []
+        for x0, max_iters in ((spectral_init(inst.C), 500), (random_signal(n, 999), 1)):
+            rep = solve_second_order(inst.C, x0, signal=inst.z,
+                                     opts=SolverOptions(max_iters=max_iters))
+            assert rep.beat_planted == (rep.cost >= planted - 1e-12 * n * n)
+            flags.append(rep.beat_planted)
+        assert flags == [True, False]
+
 
 def _escape_direction(data, point):
     # The solver's escape decision, on the bottom certificate eigenpair.
