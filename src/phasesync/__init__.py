@@ -4,9 +4,9 @@ the semidefinite relaxation, and Monte-Carlo phase-transition experiments."""
 
 from .certificate import CertificateReport, build_certificate, certify
 from .hermitian import (EigenResult, EigensolverError, HermitianMatrix,
-                        extreme_eigs, operator_norm, quad_form, symmetrize)
+                        extreme_eigs, quad_form, symmetrize)
 from .manifold import (AlignmentError, TangentVector, align_global_phase,
-                       hessian_vec, project_tangent, retract, riemannian_grad)
+                       hessian_vec, project_tangent, retract)
 from .metrics import (BoundReport, evaluate_bounds, l2_error, linf_error,
                       sufficient_noise_condition, tightness_threshold)
 from .model import (DiscordanceReport, PhaseVector, SyncInstance, TailStats,
@@ -25,9 +25,9 @@ __all__ = [
     "build_certificate", "certify", "evaluate_bounds",
     "extreme_eigs", "hessian_vec",
     "is_discordant", "l2_error", "linf_error", "noise_tail_stats",
-    "operator_norm", "philox_stream", "project_tangent", "quad_form",
+    "philox_stream", "project_tangent", "quad_form",
     "random_signal", "random_signs", "real_certificate", "retract",
-    "riemannian_grad", "sample_real_wigner", "sample_wigner",
+    "sample_real_wigner", "sample_wigner",
     "solve_second_order", "spectral_init", "sufficient_noise_condition",
     "symmetrize", "tightness_threshold", "trial_seed",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import EigenResult, EigensolverError, HermitianMatrix, extreme_eigs
+from .hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
 from .model import PhaseVector
 
 RESIDUAL_TOL = 1e-9
@@ -82,34 +82,25 @@ def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMat
 def verdict(s: HermitianMatrix, kernel: np.ndarray, tolerances: CertTolerances) -> CertificateReport:
     """Test tightness and uniqueness of a certificate ``s`` built at the
     candidate ``kernel``, which ``s`` should annihilate; see
-    :class:`CertificateReport` for the gates. Eigensolver failure is
+    :class:`CertificateReport` for the gates. They read eigenvalues only, from
+    one values-only solve (:func:`smallest_eigvals`). Eigensolver failure is
     reported in-band via ``error`` with both flags false."""
-    return _verdict(s, kernel, tolerances)[0]
-
-
-def _verdict(s: HermitianMatrix, kernel: np.ndarray,
-             tolerances: CertTolerances) -> tuple[CertificateReport, EigenResult | None]:
-    # The verdict together with the two bottom eigenpairs it was decided on
-    # (None after an eigensolver failure), so that the solver can escape
-    # along the bottom eigenvector without decomposing ``s`` a second time.
     n = s.n
     residual = float(np.linalg.norm(s.mat @ kernel))
     diag_min = float(np.min(np.diag(s.mat).real))
     try:
-        eig = extreme_eigs(s, 2, 0)
+        min_eig, second_eig = (float(v) for v in smallest_eigvals(s, 2))
     except EigensolverError as exc:
         return CertificateReport(
             residual=residual, min_eig=float("nan"), second_eig=float("nan"),
             diag_min=diag_min, tight=False, unique=False, error=str(exc),
-        ), None
-    min_eig = float(eig.values[0])
-    second_eig = float(eig.values[1])
+        )
     tight = bool(residual <= tolerances.residual_tol * n and min_eig >= tolerances.psd_tol * n)
     unique = bool(tight and second_eig >= tolerances.rank_tol * n)
     return CertificateReport(
         residual=residual, min_eig=min_eig, second_eig=second_eig,
         diag_min=diag_min, tight=tight, unique=unique,
-    ), eig
+    )
 
 
 def certify(

@@ -7,12 +7,14 @@ complex phase problem is unchanged.
 
 Everything downstream (instance assembly, certificates, solver shifts) goes
 through this module for eigenvalue work, so the accuracy contract lives here:
-extreme eigenpairs come from one dense, backward-stable LAPACK
-eigendecomposition at every n, and every returned eigenpair carries its
-residual norm so callers never have to trust the backend blindly. A caller
-that only needs to know whether a spectral norm stays under a bound asks
-:func:`norm_at_most`, which decides it with two Cholesky factorizations and
-no eigensolve.
+every eigenvalue comes from one dense, backward-stable LAPACK solve at every
+n and passes a gate before it is returned, so callers never have to trust
+the backend blindly: :func:`extreme_eigs` checks the residual of each
+eigenpair, and the values-only :func:`smallest_eigvals` (all a verdict
+reads) checks that the spectrum reproduces the trace and Frobenius norm. A
+caller that only needs to know whether a spectral norm stays under a bound
+asks :func:`norm_at_most`, which decides it with two Cholesky factorizations
+and no eigensolve.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Residual gate of every eigenpair :func:`extreme_eigs` returns, relative to
-# ``n * max(1, ||H||_F)``.
+# Gate on each eigenpair residual of :func:`extreme_eigs` and on the trace and
+# Frobenius errors of :func:`smallest_eigvals`, relative to ``n * max(1, ||H||_F)``.
 EIG_RESIDUAL_TOL = 1e-9
 
 # Acceptance tolerance for treating an input matrix as Hermitian, relative to
@@ -113,8 +115,9 @@ def symmetrize(mat) -> HermitianMatrix:
 def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int) -> EigenResult:
     """Smallest ``k_small`` and largest ``k_large`` eigenpairs of ``h``.
 
-    Always one dense ``numpy.linalg.eigh``, at every n. LAPACK's Hermitian
-    eigensolver is backward stable: its values are exact for a matrix within
+    Always one dense ``numpy.linalg.eigh``, at every n (a caller that reads
+    no vector asks :func:`smallest_eigvals`). LAPACK's Hermitian eigensolver
+    is backward stable: its values are exact for a matrix within
     a small multiple of ``eps ||H||`` of ``h``, which is what a verdict
     compared with the certificate's ``-1e-14 n`` floor needs. An iterative
     solver's Ritz value is only known to within its residual, and the
@@ -156,6 +159,32 @@ def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int) -> EigenResult:
             f"eigenpair residual {worst:.3e} exceeds the allowed {allowed:.3e}"
         )
     return EigenResult(vals, vecs, residuals)
+
+
+def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
+    """Smallest ``k`` eigenvalues of ``h``, ascending, from one dense
+    ``numpy.linalg.eigvalsh``: the backward-stable LAPACK reduction of
+    :func:`extreme_eigs` without the eigenvector work. With no vector there
+    is no residual, so the whole spectrum is gated instead: its sum and its
+    2-norm must reproduce ``tr H`` and ``||H||_F`` within the residual gate's
+    ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)`` (a NaN fails both). Raises
+    ValueError for ``k`` outside ``0..n``, and EigensolverError if LAPACK
+    fails to converge or the spectrum misses the gate."""
+    n = h.n
+    if not 0 <= k <= n:
+        raise ValueError(f"requested {k} eigenvalues from a {n} x {n} matrix")
+    try:
+        vals = np.linalg.eigvalsh(h.mat)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigenvalue solve failed: {exc}") from exc
+    fro = float(np.linalg.norm(h.mat))
+    allowed = EIG_RESIDUAL_TOL * n * max(1.0, fro)
+    trace_err = abs(float(vals.sum()) - float(np.trace(h.mat).real))
+    fro_err = abs(float(np.linalg.norm(vals)) - fro)
+    if not (trace_err <= allowed and fro_err <= allowed):
+        raise EigensolverError(f"spectrum misses tr H by {trace_err:.3e} or ||H||_F by "
+                               f"{fro_err:.3e}, over the allowed {allowed:.3e}")
+    return vals[:k]
 
 
 def operator_norm(h: HermitianMatrix) -> float:

@@ -15,11 +15,11 @@ once, and escapes only along the certificate's own eigenvector:
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* at a first-order point ``S`` is built and decomposed once, and
-  ``certificate.verdict`` decides on it. If its smallest eigenvalue is below
-  ``-escape_tol * n``, its eigenvector exposes a tangent direction of
-  negative curvature, a backtracking step along it strictly increases the
-  cost, and the ascent resumes. Escapes are counted and capped.
+* at a first-order point ``S`` is built and ``certificate.verdict`` decides
+  on its eigenvalues alone. Only if the smallest is below ``-escape_tol * n``
+  is ``S`` decomposed for its bottom eigenvector, which exposes a tangent
+  direction of negative curvature; a backtracking step along it strictly
+  increases the cost, and the ascent resumes. Escapes are counted and capped.
 
 The report carries the certificate verdict of the returned point: the one
 made at the last check, or, when the run ended without one (iteration budget
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import (CertificateReport, CertTolerances, _verdict, build_certificate,
-                          certify)
-from .hermitian import EigenResult, HermitianMatrix, extreme_eigs
+from .certificate import CertificateReport, CertTolerances, build_certificate, certify, verdict
+from .hermitian import EigensolverError, HermitianMatrix, extreme_eigs
 from .manifold import PhaseVector, TangentVector, hessian_vec, project_tangent, real_inner, retract
 
 logger = logging.getLogger(__name__)
@@ -119,16 +118,13 @@ def spectral_init(data: HermitianMatrix) -> PhaseVector:
     return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
 
 
-def _negative_curvature(data: HermitianMatrix, point: PhaseVector, eig: EigenResult,
-                        tol: float) -> TangentVector | None:
-    # ``eig`` holds the bottom eigenpair of the certificate at ``point`` in its
-    # first column. The eigenvector itself need not be tangent; both its
-    # projection and the projection of its quarter-turn rotation are tried,
-    # and the more negative curvature wins. One of them inherits curvature
-    # below min_eig(S) whenever that eigenvalue is negative.
-    if float(eig.values[0]) >= -tol * data.n:
-        return None
-    u = eig.vectors[:, 0]
+def _negative_curvature(data: HermitianMatrix, point: PhaseVector,
+                        s: HermitianMatrix) -> TangentVector | None:
+    # ``s`` is the certificate at ``point``. Its bottom eigenvector need not
+    # be tangent; both its projection and that of its quarter-turn rotation
+    # are tried, and the more negative curvature wins. One of them inherits
+    # curvature below min_eig(S) whenever that eigenvalue is negative.
+    u = extreme_eigs(s, 1, 0).vectors[:, 0]
     best: TangentVector | None = None
     best_curv = 0.0
     for cand in (u, 1j * u):
@@ -169,8 +165,9 @@ def solve_second_order(
     None; see the module docstring for the pieces. ``tolerances`` are the
     certificate gates of the returned verdict, which needs ``n >= 2``. An
     eigensolver failure on the certificate is reported in the verdict's
-    ``error`` (and no escape is tried); non-convergence within ``max_iters``
-    power steps is reported, not raised."""
+    ``error``; no escape is tried then, nor when the solve for the escape
+    eigenvector fails. Non-convergence within ``max_iters`` power steps is
+    reported, not raised."""
     if x0 is not None and data.n != x0.n:
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:
@@ -206,9 +203,14 @@ def solve_second_order(
                 continue
             if escapes < opts.max_escapes:
                 point = PhaseVector(x)
-                report, eig = _verdict(build_certificate(data, point), point.vec, tolerances)
-                direction = None if eig is None else _negative_curvature(
-                    data, point, eig, opts.escape_tol)
+                s = build_certificate(data, point)
+                report = verdict(s, point.vec, tolerances)
+                direction = None
+                if report.error is None and report.min_eig < -opts.escape_tol * n:
+                    try:
+                        direction = _negative_curvature(data, point, s)
+                    except EigensolverError as exc:
+                        logger.warning("no escape tried: %s", exc)
                 if direction is not None:
                     moved = _escape_step(data, point, direction, cost_x)
                     if moved is not None:

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import CertTolerances, build_certificate, certify
-from phasesync.hermitian import quad_form
+from phasesync.certificate import CertTolerances, build_certificate, certify, verdict
+from phasesync.hermitian import extreme_eigs, quad_form
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order, spectral_init
+from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
 
 from reference import jacobi_eigvalsh
 
@@ -130,6 +133,45 @@ class TestCertifySolved:
         assert report.residual > 1e-9 * 40
         assert not report.tight
         assert not report.unique
+
+
+def _certificates(n):
+    # Complex certificates at solved points and real ones at the planted
+    # signs, each at one sigma inside and one beyond its transition.
+    for factor in (0.1, 1.0):
+        inst, rep = _solved(n, factor * math.sqrt(n), n)
+        yield build_certificate(inst.C, rep.x), rep.x.vec
+    for factor in (0.5, 2.0):
+        z = random_signs(n, n)
+        sigma = factor * math.sqrt(n / (2.0 * math.log(n)))
+        yield real_certificate(z, sample_real_wigner(n, n), sigma), z.vec
+
+
+class TestValuesOnlyVerdict:
+    def test_matches_verdict_from_eigenpairs(self, monkeypatch):
+        # The verdict computes no eigenvector, and decides as one made on the
+        # two bottom eigenpairs of a full eigendecomposition would.
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("the verdict computed eigenvectors")
+
+        tol = CertTolerances()
+        seen = set()
+        for n in (20, 60, 200):
+            for s, kernel in _certificates(n):
+                ref = extreme_eigs(s, 2, 0).values
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "eigh", no_eigenvectors)
+                    report = verdict(s, kernel, tol)
+                tight = bool(report.residual <= tol.residual_tol * n
+                             and ref[0] >= tol.psd_tol * n)
+                unique = bool(tight and ref[1] >= tol.rank_tol * n)
+                assert (report.tight, report.unique) == (tight, unique)
+                gap = 1e-12 * n * max(1.0, float(np.linalg.norm(s.mat)))
+                assert abs(report.min_eig - ref[0]) <= gap
+                assert abs(report.second_eig - ref[1]) <= gap
+                seen.add((np.iscomplexobj(s.mat), tight, unique))
+        for cplx in (False, True):
+            assert {(cplx, False, False), (cplx, True, True)} <= seen
 
 
 class TestCertifyValidation:

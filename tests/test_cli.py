@@ -168,7 +168,7 @@ print(json.dumps([codes, loaded]))
         x_path = tmp_path / "x.txt"
         run_cli(capsys, "solve", "--n", "8", "--sigma", "0.3", "--seed", "6",
                 "--dump-instance", str(inst_path), "--dump-x", str(x_path))
-        monkeypatch.setattr(certificate, "extreme_eigs", fail)
+        monkeypatch.setattr(certificate, "smallest_eigvals", fail)
         code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
                                  "--x", str(x_path))
         assert code == 3

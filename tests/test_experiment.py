@@ -14,8 +14,7 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
 from phasesync import experiment, model
 from phasesync.certificate import build_certificate
 from phasesync.hermitian import quad_form
-from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
-                             trial_seed)
+from phasesync.model import PhaseVector, assemble_instance, trial_seed
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
 
 
@@ -204,52 +203,48 @@ def _digest(mat):
     return hashlib.blake2b(np.ascontiguousarray(mat).view(np.uint8), digest_size=8).hexdigest()
 
 
-def _watch_eigh(monkeypatch, allowed=None):
-    """Wrap ``numpy.linalg.eigh``: log the digest of every matrix it is given,
-    and fail with LinAlgError on any matrix whose digest is not in
-    ``allowed`` (when given). Returns the log."""
+def _watch_eigensolves(monkeypatch, fail=()):
+    """Wrap ``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh``: log
+    ``(name, digest)`` for every matrix either is given, and fail with
+    LinAlgError in the ones named in ``fail``. Returns the log."""
     log = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        def watched(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            log.append((_name, _digest(a)))
+            if _name in fail:
+                raise np.linalg.LinAlgError("injected failure")
+            return _solve(a, *args, **kwargs)
 
-    def watched(a, *args, **kwargs):
-        log.append(_digest(a))
-        if allowed is not None and log[-1] not in allowed:
-            raise np.linalg.LinAlgError("injected failure")
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", watched)
+        monkeypatch.setattr(np.linalg, name, watched)
     return log
 
 
 class TestEigensolves:
     # The noise-norm event is decided by Cholesky factorizations, so W is
-    # never decomposed.
+    # never decomposed, and a verdict reads eigenvalues only, so S gets a
+    # values-only solve.
     def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
         n, sigma, seed = 12, 0.3, 5
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
         assert rep.escapes == 0
         s = build_certificate(inst.C, rep.x)
-        log = _watch_eigh(monkeypatch)
+        log = _watch_eigensolves(monkeypatch)
         again = run_trial(n, sigma, seed)
-        assert len(log) == 2
-        assert set(log) == {_digest(m) for m in (inst.C.mat, s.mat)}
+        assert log == [("eigh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
         assert trial_csv_row(again) == trial_csv_row(rec)
 
     def test_real_trial_decomposes_s_once(self, monkeypatch):
         n, sigma, seed = 12, 0.5, 5
         s = real_certificate(random_signs(n, seed), sample_real_wigner(n, seed), sigma)
-        log = _watch_eigh(monkeypatch)
+        log = _watch_eigensolves(monkeypatch)
         run_real_trial(n, sigma, seed)
-        assert log == [_digest(s.mat)]
+        assert log == [("eigvalsh", _digest(s.mat))]
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
-        # Only C decomposes; the certificate's eigensolve fails. The trial
+        # C decomposes; the certificate's values-only solve fails. The trial
         # reports the failure as not tight instead of raising.
         n, sigma, seed = 12, 0.3, 5
-        z = random_signal(n, seed)
-        w = sample_wigner(n, seed)
-        inst = assemble_instance(z, w, sigma, seed)
-        _watch_eigh(monkeypatch, allowed={_digest(inst.C.mat)})
+        _watch_eigensolves(monkeypatch, fail={"eigvalsh"})
         rec = run_trial(n, sigma, seed)
         assert not rec.tight and not rec.unique
         assert math.isnan(rec.min_eig_S)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import (HermitianMatrix, extreme_eigs, norm_at_most,
-                                 operator_norm, quad_form, symmetrize)
+from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs,
+                                 norm_at_most, operator_norm, quad_form,
+                                 smallest_eigvals, symmetrize)
 from phasesync.model import sample_wigner
 from phasesync.z2 import sample_real_wigner
 
@@ -166,6 +167,62 @@ class TestExtremeEigs:
         base = extreme_eigs(h, 1, 1).values
         moved = extreme_eigs(shifted, 1, 1).values
         assert np.allclose(np.asarray(moved), np.asarray(base) + shift, atol=1e-9)
+
+
+class TestSmallestEigvals:
+    @pytest.mark.parametrize("make", [_random_hermitian, _random_symmetric])
+    def test_matches_extreme_eigs(self, make):
+        for n in (1, 7, 40):
+            h = make(n, n)
+            scale = n * max(1.0, float(np.linalg.norm(h.mat)))
+            got = smallest_eigvals(h, min(n, 2))
+            ref = extreme_eigs(h, min(n, 2), 0).values
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * scale
+        assert smallest_eigvals(make(5, 0), 0).size == 0
+
+    def test_count_validation(self):
+        h = _random_hermitian(4, 0)
+        with pytest.raises(ValueError):
+            smallest_eigvals(h, 5)
+        with pytest.raises(ValueError):
+            smallest_eigvals(h, -1)
+
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    def test_shifted_eigenvalue_fails_the_gate(self, monkeypatch, index):
+        # One eigenvalue moved by far more than rounding no longer reproduces
+        # the trace, whichever one it is and whether it is returned or not.
+        h = _random_hermitian(30, 2)
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(a, *args, **kwargs):
+            vals = eigvalsh(a, *args, **kwargs)
+            vals[index] += 1e-3
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(EigensolverError, match="misses tr H"):
+            smallest_eigvals(h, 2)
+
+    def test_nan_fails_the_gate(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def poisoned(a, *args, **kwargs):
+            vals = eigvalsh(a, *args, **kwargs)
+            vals[-1] = np.nan
+            return vals
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+        with pytest.raises(EigensolverError):
+            smallest_eigvals(_random_symmetric(10, 1), 2)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            smallest_eigvals(_random_hermitian(6, 3), 2)
 
 
 class TestOperatorNorm:

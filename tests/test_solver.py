@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import CertTolerances, build_certificate, certify
-from phasesync.hermitian import HermitianMatrix, extreme_eigs, quad_form
+from phasesync import solver
+from phasesync.certificate import CertTolerances, build_certificate, certify, verdict
+from phasesync.hermitian import EigensolverError, HermitianMatrix, quad_form
 from phasesync.manifold import align_global_phase, hessian_vec, real_inner
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import (SolverOptions, _negative_curvature, solve_second_order,
@@ -164,9 +165,12 @@ class TestRestartFromPlanted:
 
 
 def _escape_direction(data, point):
-    # The solver's escape decision, on the bottom certificate eigenpair.
-    return _negative_curvature(data, point, extreme_eigs(build_certificate(data, point), 1, 0),
-                               1e-10)
+    # The solver's escape decision: the values-only verdict on the
+    # certificate, then its bottom eigenvector only below -escape_tol * n.
+    s = build_certificate(data, point)
+    if verdict(s, point.vec, CertTolerances()).min_eig >= -1e-10 * data.n:
+        return None
+    return _negative_curvature(data, point, s)
 
 
 class TestEscape:
@@ -199,6 +203,26 @@ class TestEscape:
         assert rep.escapes == 0
         assert rep.cost == pytest.approx(0.0, abs=1e-12)
 
+    def test_escape_eigensolve_failure_is_in_band(self, monkeypatch):
+        # The verdict sees the saddle from eigenvalues alone; the solve for
+        # the escape eigenvector then fails. No escape is tried and nothing
+        # is raised: the report keeps the verdict, not tight.
+        data, x = _saddle_pair()
+        extreme_eigs_ = solver.extreme_eigs
+
+        def fail_on_certificate(h, *args):
+            if h is not data:
+                raise EigensolverError("injected failure")
+            return extreme_eigs_(h, *args)
+
+        monkeypatch.setattr(solver, "extreme_eigs", fail_on_certificate)
+        rep = solve_second_order(data, x)
+        assert rep.converged and rep.escapes == 0
+        assert rep.cost == pytest.approx(0.0, abs=1e-12)
+        assert rep.certificate.error is None
+        assert rep.certificate.min_eig < -1e-10 * data.n
+        assert not rep.certificate.tight and not rep.certificate.unique
+
     def test_orthogonal_start_noiseless(self):
         # A start orthogonal to the planted signal lands on the zero-gradient
         # plateau of the rank-one objective; only the escape logic moves it.
@@ -213,8 +237,9 @@ class TestEscape:
 
 
 class TestSharedDecompositions:
-    """The solver decomposes C once for its shift and its spectral start, and
-    each certificate S once for both its escape test and its verdict."""
+    """The solver decomposes C once for its shift and its spectral start; each
+    certificate S gets one values-only solve for its verdict and escape test,
+    and an eigenvector solve only to escape."""
 
     def test_default_start_is_spectral_init(self):
         inst = _instance(40, 1.0, 5)
