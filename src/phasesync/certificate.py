@@ -20,28 +20,10 @@ import numpy as np
 from .hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
 from .model import PhaseVector
 
+# Certificate gates, each scaled by n; see :class:`CertificateReport`.
 RESIDUAL_TOL = 1e-9
 PSD_TOL = -1e-14
 RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CertTolerances:
-    """Certificate gates, each scaled by n before use. They must carry their
-    intended signs (``residual_tol > 0``, ``psd_tol < 0``, ``rank_tol > 0``);
-    anything else is rejected rather than silently flipping a verdict."""
-
-    residual_tol: float = RESIDUAL_TOL
-    psd_tol: float = PSD_TOL
-    rank_tol: float = RANK_TOL
-
-    def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.psd_tol >= 0.0:
-            raise ValueError(f"psd_tol must be negative, got {self.psd_tol}")
-        if self.rank_tol <= 0.0:
-            raise ValueError(f"rank_tol must be positive, got {self.rank_tol}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +31,10 @@ class CertificateReport:
     """Spectral verdict on a candidate optimum.
 
     ``tight`` means the certificate residual ``||S x||`` is below
-    ``residual_tol * n`` and the smallest eigenvalue clears ``psd_tol * n``
+    ``RESIDUAL_TOL * n`` and the smallest eigenvalue clears ``PSD_TOL * n``
     (a slightly negative floor that absorbs eigensolver rounding).
     ``unique`` additionally requires the second eigenvalue to clear
-    ``rank_tol * n``, certifying rank ``n - 1``. ``diag_min`` is the smallest
+    ``RANK_TOL * n``, certifying rank ``n - 1``. ``diag_min`` is the smallest
     diagonal entry of ``S``, a cheap necessary sanity value: at any
     second-order critical point it should not be substantially negative.
     ``error`` carries an eigensolver failure note; both flags are false then.
@@ -79,11 +61,12 @@ def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMat
     return HermitianMatrix(s)
 
 
-def verdict(s: HermitianMatrix, kernel: np.ndarray, tolerances: CertTolerances) -> CertificateReport:
+def verdict(s: HermitianMatrix, kernel: np.ndarray) -> CertificateReport:
     """Test tightness and uniqueness of a certificate ``s`` built at the
-    candidate ``kernel``, which ``s`` should annihilate; see
-    :class:`CertificateReport` for the gates. They read eigenvalues only, from
-    one values-only solve (:func:`smallest_eigvals`). Eigensolver failure is
+    candidate ``kernel``, which ``s`` should annihilate, against the fixed
+    gates ``RESIDUAL_TOL``, ``PSD_TOL`` and ``RANK_TOL`` (see
+    :class:`CertificateReport`). They read eigenvalues only, from one
+    values-only solve (:func:`smallest_eigvals`). Eigensolver failure is
     reported in-band via ``error`` with both flags false."""
     n = s.n
     residual = float(np.linalg.norm(s.mat @ kernel))
@@ -95,18 +78,14 @@ def verdict(s: HermitianMatrix, kernel: np.ndarray, tolerances: CertTolerances) 
             residual=residual, min_eig=float("nan"), second_eig=float("nan"),
             diag_min=diag_min, tight=False, unique=False, error=str(exc),
         )
-    tight = bool(residual <= tolerances.residual_tol * n and min_eig >= tolerances.psd_tol * n)
-    unique = bool(tight and second_eig >= tolerances.rank_tol * n)
+    tight = bool(residual <= RESIDUAL_TOL * n and min_eig >= PSD_TOL * n)
+    unique = bool(tight and second_eig >= RANK_TOL * n)
     return CertificateReport(
         residual=residual, min_eig=min_eig, second_eig=second_eig,
         diag_min=diag_min, tight=tight, unique=unique,
     )
 
 
-def certify(
-    data: HermitianMatrix,
-    point: PhaseVector,
-    tolerances: CertTolerances = CertTolerances(),
-) -> CertificateReport:
+def certify(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:
     """Build the certificate at ``point`` and test tightness and uniqueness."""
-    return verdict(build_certificate(data, point), point.vec, tolerances)
+    return verdict(build_certificate(data, point), point.vec)

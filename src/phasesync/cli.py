@@ -19,7 +19,7 @@ import dataclasses
 import os
 import sys
 
-from .certificate import CertTolerances, certify
+from .certificate import certify
 from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, WORKERS_ENV_VAR, ConfigError,
                          aggregate_path, emit_curves, parse_grid_config,
                          run_grid, run_trial_detailed, trial_csv_row, write_curves,
@@ -36,7 +36,6 @@ def _solver_opts_from_args(args) -> SolverOptions:
     return SolverOptions(
         grad_tol=args.grad_tol,
         max_iters=args.max_iters,
-        escape_tol=args.escape_tol,
         max_escapes=args.max_escapes,
     )
 
@@ -57,9 +56,7 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     inst = read_instance(args.instance)
     x = read_phase_vector(args.x)
-    tolerances = CertTolerances(residual_tol=args.residual_tol, psd_tol=args.psd_tol,
-                                rank_tol=args.rank_tol)
-    report = certify(inst.C, x, tolerances)
+    report = certify(inst.C, x)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CERT_COLUMNS)
     writer.writerow([_fmt(getattr(report, name)) for name in CERT_COLUMNS])
@@ -127,15 +124,7 @@ def _add_solver_flags(sub) -> None:
     defaults = SolverOptions()
     sub.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
     sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    sub.add_argument("--escape-tol", type=float, default=defaults.escape_tol)
     sub.add_argument("--max-escapes", type=int, default=defaults.max_escapes)
-
-
-def _add_cert_flags(sub) -> None:
-    defaults = CertTolerances()
-    sub.add_argument("--residual-tol", type=float, default=defaults.residual_tol)
-    sub.add_argument("--psd-tol", type=float, default=defaults.psd_tol)
-    sub.add_argument("--rank-tol", type=float, default=defaults.rank_tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a stored estimate against a stored instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--x", required=True)
-    _add_cert_flags(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("grid", help="run a complex-case Monte-Carlo grid from a config file")

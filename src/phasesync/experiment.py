@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import CertTolerances, verdict
+from .certificate import verdict
 from .hermitian import quad_form
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
@@ -55,7 +55,6 @@ class GridConfig:
     workers: int = 1
     out: str = "grid.csv"
     solver: SolverOptions = field(default_factory=SolverOptions)
-    tolerances: CertTolerances = field(default_factory=CertTolerances)
 
     def __post_init__(self):
         if self.case not in ("complex", "real"):
@@ -139,7 +138,6 @@ def run_trial_detailed(
     seed: int,
     rep: int = 0,
     solver_opts: SolverOptions = SolverOptions(),
-    tolerances: CertTolerances = CertTolerances(),
 ):
     """Full complex-case pipeline on one planted instance. Returns the trial
     record together with the instance and the solver report, for callers that
@@ -150,7 +148,7 @@ def run_trial_detailed(
     w = sample_wigner(n, seed)
     inst = assemble_instance(z, w, sigma, seed)
     disc = is_discordant(w, z)
-    rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts, tolerances=tolerances)
+    rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts)
     cert = rep_solve.certificate
     bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
     cost_z = quad_form(inst.C, z.vec)
@@ -178,21 +176,13 @@ def run_trial(
     seed: int,
     rep: int = 0,
     solver_opts: SolverOptions = SolverOptions(),
-    tolerances: CertTolerances = CertTolerances(),
 ) -> TrialRecord:
     """Full complex-case pipeline on one planted instance."""
-    record, _, _ = run_trial_detailed(n, sigma, seed, rep=rep,
-                                      solver_opts=solver_opts, tolerances=tolerances)
+    record, _, _ = run_trial_detailed(n, sigma, seed, rep=rep, solver_opts=solver_opts)
     return record
 
 
-def run_real_trial(
-    n: int,
-    sigma: float,
-    seed: int,
-    rep: int = 0,
-    tolerances: CertTolerances = CertTolerances(),
-) -> TrialRecord:
+def run_real_trial(n: int, sigma: float, seed: int, rep: int = 0) -> TrialRecord:
     """Real-case trial: evaluate the closed-form certificate at the planted
     signs. No iterative solve is involved, so ``converged`` is always true
     and the cost columns both carry the planted cost ``z^T C z``, taken as
@@ -205,7 +195,7 @@ def run_real_trial(
     w = sample_real_wigner(n, seed)
     zp = PhaseVector(z.vec)
     disc = is_discordant(w, zp)
-    cert = verdict(real_certificate(z, w, sigma), z.vec, tolerances)
+    cert = verdict(real_certificate(z, w, sigma), z.vec)
     bounds = evaluate_bounds(zp, w, sigma, zp)
     cost_z = n * n + sigma * float(z.vec @ (w.mat @ z.vec))
 
@@ -225,10 +215,10 @@ def run_real_trial(
 
 
 def _trial_from_args(args) -> TrialRecord:
-    case, n, sigma, rep, seed, solver_opts, tolerances = args
+    case, n, sigma, rep, seed, solver_opts = args
     if case == "real":
-        return run_real_trial(n, sigma, seed, rep=rep, tolerances=tolerances)
-    return run_trial(n, sigma, seed, rep=rep, solver_opts=solver_opts, tolerances=tolerances)
+        return run_real_trial(n, sigma, seed, rep=rep)
+    return run_trial(n, sigma, seed, rep=rep, solver_opts=solver_opts)
 
 
 def aggregate_path(out) -> Path:
@@ -263,8 +253,7 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
             args = []
             for rep in range(config.reps):
                 seed = trial_seed(config.seed_base, index)
-                args.append((config.case, n, sigma, rep, seed, config.solver,
-                             config.tolerances))
+                args.append((config.case, n, sigma, rep, seed, config.solver))
                 index += 1
             cells.append(args)
 
@@ -341,8 +330,7 @@ def write_curves(rows: list[tuple[float, ...]], fileobj) -> None:
         writer.writerow([_fmt(float(v)) for v in row])
 
 
-_SOLVER_KEYS = {"grad_tol": float, "max_iters": int, "escape_tol": float, "max_escapes": int}
-_TOL_KEYS = {"residual_tol": float, "psd_tol": float, "rank_tol": float}
+_SOLVER_KEYS = {"grad_tol": float, "max_iters": int, "max_escapes": int}
 _SCALAR_KEYS = {"case": str, "reps": int, "seed_base": int, "workers": int, "out": str}
 
 
@@ -359,9 +347,8 @@ def parse_grid_config(path) -> GridConfig:
       rule ``sigma_min`` / ``sigma_max`` / ``sigma_count`` (all three, and
       exclusive with sigma_list)
     - ``reps``, ``seed_base``, ``workers``, ``out``
-    - solver knobs ``grad_tol``, ``max_iters``, ``escape_tol``,
-      ``max_escapes``; certificate knobs ``residual_tol``, ``psd_tol``,
-      ``rank_tol``
+    - solver knobs ``grad_tol``, ``max_iters``, ``max_escapes`` (the
+      certificate gates and the curvature floor are fixed constants)
 
     Unknown keys, duplicate keys, and malformed values raise ConfigError.
     """
@@ -381,7 +368,7 @@ def parse_grid_config(path) -> GridConfig:
         raw[key] = value
 
     known = ({"n_values", "sigma_list", "sigma_min", "sigma_max", "sigma_count"}
-             | set(_SCALAR_KEYS) | set(_SOLVER_KEYS) | set(_TOL_KEYS))
+             | set(_SCALAR_KEYS) | set(_SOLVER_KEYS))
     for key in raw:
         if key not in known:
             raise ConfigError(f"{path}: unknown key {key!r}")
@@ -417,12 +404,10 @@ def parse_grid_config(path) -> GridConfig:
         raise ConfigError(f"{path}: missing sigma_list or sigma_min/max/count")
 
     solver_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SOLVER_KEYS.items() if k in raw}
-    tol_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _TOL_KEYS.items() if k in raw}
     scalar_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SCALAR_KEYS.items() if k in raw}
 
     try:
         solver = SolverOptions(**solver_kwargs)
-        tolerances = CertTolerances(**tol_kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return GridConfig(
@@ -434,5 +419,4 @@ def parse_grid_config(path) -> GridConfig:
         workers=scalar_kwargs.get("workers", 1),
         out=scalar_kwargs.get("out", "grid.csv"),
         solver=solver,
-        tolerances=tolerances,
     )

@@ -57,11 +57,6 @@ class TangentVector:
         return float(np.linalg.norm(self.dir))
 
 
-def real_inner(u, v) -> float:
-    """Riemannian inner product: Re(u* v) on ambient representatives."""
-    return float(np.vdot(np.asarray(u), np.asarray(v)).real)
-
-
 def project_tangent(point: PhaseVector, vec) -> TangentVector:
     """Orthogonal projection onto the tangent space at ``point``:
     subtract from each entry its radial component ``Re(v_i xbar_i) x_i``."""

@@ -3,7 +3,7 @@
 The solver maximizes ``x* C x`` over unit-modulus vectors and answers, for
 the point it returns, the question every trial asks: is the dual certificate
 ``S = Re diag(C x xbar) - C`` positive semidefinite? It converges, certifies
-once, and escapes only along the certificate's own eigenvector:
+once, and escapes only along a tangent direction of negative curvature:
 
 * one decomposition of ``C`` gives both the shift ``lam = max(0,
   -min_eig(C))`` and, when no start is given, the spectral start (the phases
@@ -16,10 +16,17 @@ once, and escapes only along the certificate's own eigenvector:
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
 * at a first-order point ``S`` is built and ``certificate.verdict`` decides
-  on its eigenvalues alone. Only if the smallest is below ``-escape_tol * n``
-  is ``S`` decomposed for its bottom eigenvector, which exposes a tangent
-  direction of negative curvature; a backtracking step along it strictly
-  increases the cost, and the ascent resumes. Escapes are counted and capped.
+  on its eigenvalues alone. Tangent vectors there are ``i x o theta`` with
+  ``theta`` real, on which the Hessian's quadratic form is exactly
+  ``2 theta^T H theta``, ``H = Re(diag(xbar) S diag(x))`` (Boumal 2016,
+  "Nonconvex phase synchronization"), so ``min_eig(H) >= min_eig(S)``. Only
+  when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed and decomposed (one
+  real eigensolve). If ``min_eig(H)`` is below that floor too, its
+  eigenvector gives a unit tangent direction of curvature ``2 min_eig(H)``;
+  a backtracking step along it strictly increases the cost, and the ascent
+  resumes. Otherwise the point is second-order critical. The floor also
+  keeps the global-phase kernel ``H 1 = 0`` from being taken as a
+  direction. Escapes are counted and capped.
 
 The report carries the certificate verdict of the returned point: the one
 made at the last check, or, when the run ended without one (iteration budget
@@ -33,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import CertificateReport, CertTolerances, build_certificate, certify, verdict
+from .certificate import CertificateReport, build_certificate, certify, verdict
 from .hermitian import EigensolverError, HermitianMatrix, extreme_eigs
-from .manifold import PhaseVector, TangentVector, hessian_vec, project_tangent, real_inner, retract
+from .manifold import PhaseVector, TangentVector, retract
 
 logger = logging.getLogger(__name__)
 
@@ -47,26 +54,29 @@ PHASE_FLOOR = 1e-14
 # magnitude of the cost itself).
 BEAT_COST_SLACK = 1e-12
 
+# Curvature floor, scaled by n: a first-order point escapes only along a
+# Hessian eigenvalue below -ESCAPE_TOL * n, and the certificate eigenvalue
+# must be below it first.
+ESCAPE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for :func:`solve_second_order`.
 
-    ``grad_tol`` and ``escape_tol`` scale with n before use (thresholds are
-    ``grad_tol * n`` on the gradient norm and ``-escape_tol * n`` on the
-    certificate eigenvalue).
+    ``grad_tol`` scales with n before use: first-order convergence is
+    ``grad_norm <= grad_tol * n``. ``max_iters`` caps power steps and
+    ``max_escapes`` caps escapes from saddles. The curvature floor is the
+    fixed ``ESCAPE_TOL``.
     """
 
     grad_tol: float = 1e-10
     max_iters: int = 500
-    escape_tol: float = 1e-10
     max_escapes: int = 5
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.escape_tol <= 0.0:
-            raise ValueError(f"escape_tol must be positive, got {self.escape_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_escapes < 0:
@@ -81,8 +91,7 @@ class SolverReport:
     tracked separately. ``beat_planted`` is None when no planted signal was
     supplied, otherwise it records ``cost >= planted cost - BEAT_COST_SLACK n^2``.
     ``converged`` implies ``grad_norm <= grad_tol * n``. ``certificate`` is
-    the verdict on ``x``, exactly what :func:`certify` with the same
-    tolerances reports.
+    the verdict on ``x``, exactly what :func:`certify` reports.
     """
 
     x: PhaseVector
@@ -118,26 +127,15 @@ def spectral_init(data: HermitianMatrix) -> PhaseVector:
     return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
 
 
-def _negative_curvature(data: HermitianMatrix, point: PhaseVector,
-                        s: HermitianMatrix) -> TangentVector | None:
-    # ``s`` is the certificate at ``point``. Its bottom eigenvector need not
-    # be tangent; both its projection and that of its quarter-turn rotation
-    # are tried, and the more negative curvature wins. One of them inherits
-    # curvature below min_eig(S) whenever that eigenvalue is negative.
-    u = extreme_eigs(s, 1, 0).vectors[:, 0]
-    best: TangentVector | None = None
-    best_curv = 0.0
-    for cand in (u, 1j * u):
-        d = project_tangent(point, cand).dir
-        dn = float(np.linalg.norm(d))
-        if dn <= 1e-12:
-            continue
-        unit = TangentVector(point, d / dn)
-        curv = real_inner(unit.dir, hessian_vec(data, point, unit).dir)
-        if curv < best_curv:
-            best = unit
-            best_curv = curv
-    return best
+def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector | None:
+    # ``s`` is the certificate at ``point``; the escape direction is
+    # ``i x o theta`` for the bottom eigenvector theta of the tangent Hessian H.
+    x = point.vec
+    h = HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
+    eig = extreme_eigs(h, 1, 0)
+    if eig.values[0] >= -ESCAPE_TOL * point.n:
+        return None
+    return TangentVector(point, 1j * x * eig.vectors[:, 0])
 
 
 def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: TangentVector,
@@ -159,15 +157,13 @@ def solve_second_order(
     x0: PhaseVector | None = None,
     signal: PhaseVector | None = None,
     opts: SolverOptions = SolverOptions(),
-    tolerances: CertTolerances = CertTolerances(),
 ) -> SolverReport:
     """Run the full ascent from ``x0``, or from the spectral start when it is
-    None; see the module docstring for the pieces. ``tolerances`` are the
-    certificate gates of the returned verdict, which needs ``n >= 2``. An
-    eigensolver failure on the certificate is reported in the verdict's
-    ``error``; no escape is tried then, nor when the solve for the escape
-    eigenvector fails. Non-convergence within ``max_iters`` power steps is
-    reported, not raised."""
+    None; see the module docstring for the pieces. The returned verdict
+    needs ``n >= 2``. An eigensolver failure on the certificate is reported
+    in the verdict's ``error``; no escape is tried then, nor when the solve
+    on ``H`` for the escape direction fails. Non-convergence within
+    ``max_iters`` power steps is reported, not raised."""
     if x0 is not None and data.n != x0.n:
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:
@@ -204,11 +200,11 @@ def solve_second_order(
             if escapes < opts.max_escapes:
                 point = PhaseVector(x)
                 s = build_certificate(data, point)
-                report = verdict(s, point.vec, tolerances)
+                report = verdict(s, point.vec)
                 direction = None
-                if report.error is None and report.min_eig < -opts.escape_tol * n:
+                if report.error is None and report.min_eig < -ESCAPE_TOL * n:
                     try:
-                        direction = _negative_curvature(data, point, s)
+                        direction = _negative_curvature(point, s)
                     except EigensolverError as exc:
                         logger.warning("no escape tried: %s", exc)
                 if direction is not None:
@@ -233,7 +229,7 @@ def solve_second_order(
 
     final = PhaseVector(x)
     if cert is None:
-        cert = certify(data, final, tolerances)
+        cert = certify(data, final)
     w = cmat @ final.vec
     grad_norm = float(np.linalg.norm(_grad_dir(w, final.vec)))
     cost = float(np.vdot(final.vec, w).real)

@@ -51,6 +51,11 @@ def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
     return vals
 
 
+def real_inner(u, v) -> float:
+    """Riemannian inner product of the torus: Re(u* v) on ambient vectors."""
+    return float(np.vdot(np.asarray(u), np.asarray(v)).real)
+
+
 def quad_form_loops(mat: np.ndarray, vec: np.ndarray) -> complex:
     """v* M v by explicit summation."""
     total = 0.0 + 0.0j

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import CertTolerances, build_certificate, certify, verdict
+from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate, certify,
+                                   verdict)
 from phasesync.hermitian import extreme_eigs, quad_form
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order, spectral_init
@@ -154,17 +155,15 @@ class TestValuesOnlyVerdict:
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("the verdict computed eigenvectors")
 
-        tol = CertTolerances()
         seen = set()
         for n in (20, 60, 200):
             for s, kernel in _certificates(n):
                 ref = extreme_eigs(s, 2, 0).values
                 with monkeypatch.context() as m:
                     m.setattr(np.linalg, "eigh", no_eigenvectors)
-                    report = verdict(s, kernel, tol)
-                tight = bool(report.residual <= tol.residual_tol * n
-                             and ref[0] >= tol.psd_tol * n)
-                unique = bool(tight and ref[1] >= tol.rank_tol * n)
+                    report = verdict(s, kernel)
+                tight = bool(report.residual <= RESIDUAL_TOL * n and ref[0] >= PSD_TOL * n)
+                unique = bool(tight and ref[1] >= RANK_TOL * n)
                 assert (report.tight, report.unique) == (tight, unique)
                 gap = 1e-12 * n * max(1.0, float(np.linalg.norm(s.mat)))
                 assert abs(report.min_eig - ref[0]) <= gap
@@ -175,14 +174,6 @@ class TestValuesOnlyVerdict:
 
 
 class TestCertifyValidation:
-    def test_tolerance_signs(self):
-        with pytest.raises(ValueError):
-            CertTolerances(residual_tol=-1e-9)
-        with pytest.raises(ValueError):
-            CertTolerances(psd_tol=1e-14)
-        with pytest.raises(ValueError):
-            CertTolerances(rank_tol=0.0)
-
     def test_unique_implies_tight(self):
         for seed in range(6):
             inst, rep = _solved(20, 1.0, seed)

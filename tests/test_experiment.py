@@ -69,16 +69,19 @@ out = g.csv
         text = BASE_CFG.format(out="g.csv") + """
 grad_tol = 1e-9
 max_iters = 1234
-residual_tol = 1e-8
-psd_tol = -1e-13
-rank_tol = 1e-7
+max_escapes = 2
 """
         cfg = parse_grid_config(_write_config(tmp_path, text))
         assert cfg.solver.grad_tol == 1e-9
         assert cfg.solver.max_iters == 1234
-        assert cfg.tolerances.residual_tol == 1e-8
-        assert cfg.tolerances.psd_tol == -1e-13
-        assert cfg.tolerances.rank_tol == 1e-7
+        assert cfg.solver.max_escapes == 2
+        # The certificate gates and the curvature floor are fixed constants,
+        # not config keys.
+        for line in ("residual_tol = 1e-8", "psd_tol = -1e-13", "rank_tol = 1e-7",
+                     "escape_tol = 1e-10"):
+            bad = _write_config(tmp_path, BASE_CFG.format(out="g.csv") + line + "\n")
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_grid_config(bad)
 
     def test_unknown_key_rejected(self, tmp_path):
         text = BASE_CFG.format(out="g.csv") + "bogus = 1\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import CertTolerances, verdict
+from phasesync.certificate import verdict
 from phasesync.hermitian import HermitianMatrix, extreme_eigs
 from phasesync.z2 import SignVector, random_signs, real_certificate, sample_real_wigner
 
@@ -126,10 +126,10 @@ class TestRealCertificate:
             real_certificate(z, w, -0.5)
 
 
-def _recovery(z, w, sigma, tolerances=CertTolerances()):
+def _recovery(z, w, sigma):
     # The shared certificate verdict at the planted signs: tight means the
     # relaxation recovers z z^T exactly.
-    return verdict(real_certificate(z, w, sigma), z.vec, tolerances)
+    return verdict(real_certificate(z, w, sigma), z.vec)
 
 
 class TestRecoveryCheck:
@@ -185,15 +185,8 @@ class TestRecoveryCheck:
                 w = sample_real_wigner(n, seed)
                 for factor in (0.5, 0.9, 1.1, 2.0):
                     s = real_certificate(z, w, factor * threshold)
-                    got = verdict(s, z.vec, CertTolerances())
-                    ref = verdict(HermitianMatrix(s.mat.astype(np.complex128)), z.vec,
-                                  CertTolerances())
+                    got = verdict(s, z.vec)
+                    ref = verdict(HermitianMatrix(s.mat.astype(np.complex128)), z.vec)
                     assert (got.tight, got.unique) == (ref.tight, ref.unique)
                     outcomes.add(got.tight)
         assert outcomes == {True, False}
-
-    def test_psd_tol_sign_validated(self):
-        z = random_signs(10, 2)
-        w = sample_real_wigner(10, 2)
-        with pytest.raises(ValueError):
-            _recovery(z, w, 1.0, CertTolerances(psd_tol=1e-14))
