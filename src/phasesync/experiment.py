@@ -9,16 +9,20 @@ decides exact recovery by itself.
 
 Determinism contract: trial seeds depend only on ``(seed_base, trial index)``
 where the index enumerates the grid sorted by (n, sigma, rep), so the CSV
-output is byte-identical for any worker count. Per-trial wall time is
-measured and kept on the in-memory record for interactive use, but excluded
-from the CSV for exactly that reason.
+output is byte-identical for any worker count. Every grid trial, serial or
+pooled, runs on one BLAS thread when numpy bundles OpenBLAS, because the
+rounding of a threaded BLAS call depends on its thread count and so on the
+core count. Per-trial wall time is measured and kept on the in-memory record
+for interactive use, but excluded from the CSV for exactly that reason.
 
 Config files are flat ``key = value`` text; see :func:`parse_grid_config`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
 import multiprocessing
 import time
@@ -238,24 +242,51 @@ def _aggregate(records: list[TrialRecord]) -> CellAggregate:
     )
 
 
+def _set_blas_threads(count: int) -> int | None:
+    """Set numpy's bundled OpenBLAS to ``count`` threads and return the count
+    it had. Returns None, and sets nothing, when numpy uses another BLAS."""
+    import ctypes
+    import glob
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(count)
+                return before
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread; restore the caller's count on
+    every exit."""
+    before = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
 def run_grid(config: GridConfig) -> list[CellAggregate]:
     """Run every (n, sigma, rep) cell of the grid and write two CSV files:
     the per-trial records at ``config.out`` and per-cell aggregates next to
     it (suffix ``.agg.csv``). Rows are sorted by (n, sigma, rep) and flushed
     after each completed cell, so an interrupted run leaves whole cells.
-    Returns the aggregates."""
-    n_values = tuple(sorted(set(config.n_values)))
-    sigmas = tuple(sorted(set(config.sigmas)))
-    cells = []
-    index = 0
-    for n in n_values:
-        for sigma in sigmas:
-            args = []
-            for rep in range(config.reps):
-                seed = trial_seed(config.seed_base, index)
-                args.append((config.case, n, sigma, rep, seed, config.solver))
-                index += 1
-            cells.append(args)
+    Trials run on one BLAS thread each (see the module docstring); the
+    caller's thread count is restored on return. Returns the aggregates."""
+    lattice = itertools.product(sorted(set(config.n_values)), sorted(set(config.sigmas)),
+                                range(config.reps))
+    args = [(config.case, n, sigma, rep, trial_seed(config.seed_base, index), config.solver)
+            for index, (n, sigma, rep) in enumerate(lattice)]
 
     out_path = Path(config.out)
     if out_path.parent and not out_path.parent.exists():
@@ -265,26 +296,34 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
     aggregates: list[CellAggregate] = []
     pool = None
     try:
-        if config.workers > 1:
-            # Spawned workers sidestep fork-safety issues in threaded BLAS.
-            pool = multiprocessing.get_context("spawn").Pool(config.workers)
-        with open(out_path, "w", newline="") as tf, open(agg_out, "w", newline="") as af:
-            tw = csv.writer(tf, lineterminator="\n")
-            aw = csv.writer(af, lineterminator="\n")
-            tw.writerow(TRIAL_COLUMNS)
-            aw.writerow(AGG_COLUMNS)
-            for cell_args in cells:
-                if pool is not None:
-                    records = pool.map(_trial_from_args, cell_args, chunksize=1)
-                else:
-                    records = [_trial_from_args(a) for a in cell_args]
-                for record in records:
-                    tw.writerow(trial_csv_row(record))
-                agg = _aggregate(records)
-                aw.writerow([_fmt(getattr(agg, name)) for name in AGG_COLUMNS])
-                tf.flush()
-                af.flush()
-                aggregates.append(agg)
+        with _one_blas_thread():
+            if config.workers > 1:
+                # Spawned workers sidestep fork-safety issues in threaded BLAS.
+                pool = multiprocessing.get_context("spawn").Pool(
+                    config.workers, initializer=_set_blas_threads, initargs=(1,))
+                # One ordered feed: a worker freed by a short trial takes the
+                # next one, whichever cell it belongs to.
+                records = pool.imap(_trial_from_args, args, chunksize=1)
+            else:
+                records = map(_trial_from_args, args)
+            with open(out_path, "w", newline="") as tf, open(agg_out, "w", newline="") as af:
+                tw = csv.writer(tf, lineterminator="\n")
+                aw = csv.writer(af, lineterminator="\n")
+                tw.writerow(TRIAL_COLUMNS)
+                aw.writerow(AGG_COLUMNS)
+                for _ in range(len(args) // config.reps):
+                    cell = list(itertools.islice(records, config.reps))
+                    for record in cell:
+                        tw.writerow(trial_csv_row(record))
+                    agg = _aggregate(cell)
+                    aw.writerow([_fmt(getattr(agg, name)) for name in AGG_COLUMNS])
+                    tf.flush()
+                    af.flush()
+                    aggregates.append(agg)
+    except BaseException:
+        if pool is not None:
+            pool.terminate()  # drop the trials still queued
+        raise
     finally:
         if pool is not None:
             pool.close()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from phasesync.certificate import certify
-from phasesync.experiment import (GridConfig, run_grid, run_real_trial,
+from phasesync.experiment import (GridConfig, aggregate_path, run_grid, run_real_trial,
                                   run_trial, run_trial_detailed)
 from phasesync.manifold import hessian_vec, retract, riemannian_grad, project_tangent
 from phasesync.metrics import l2_error
@@ -193,4 +193,24 @@ def test_criterion_8_determinism_across_workers(tmp_path):
     ok = same_trials and same_aggs
     _report(8, "worker-count determinism", ok,
             f"trials identical {same_trials}, aggregates identical {same_aggs}, "
+            f"{elapsed:.1f}s")
+
+
+def test_criterion_8_determinism_across_workers_where_blas_threads(tmp_path):
+    # Criterion 8 runs at n <= 20, where OpenBLAS never threads. At these n it
+    # does, so the pool's workers must run trials on the same single BLAS
+    # thread as the serial loop for the outputs to agree.
+    t0 = time.perf_counter()
+    same = []
+    for case, n in (("complex", 200), ("real", 400)):
+        kw = dict(case=case, n_values=(n,), sigmas=(1.0, 5.0), reps=2, seed_base=5)
+        solo = GridConfig(workers=1, out=str(tmp_path / f"{case}-solo.csv"), **kw)
+        duo = GridConfig(workers=2, out=str(tmp_path / f"{case}-duo.csv"), **kw)
+        run_grid(solo)
+        run_grid(duo)
+        for a, b in ((solo.out, duo.out), (aggregate_path(solo.out), aggregate_path(duo.out))):
+            same.append(Path(a).read_bytes() == Path(b).read_bytes())
+    elapsed = time.perf_counter() - t0
+    _report(8, "worker-count determinism at threaded sizes", all(same),
+            f"complex n=200 and real n=400 trials and aggregates identical {same}, "
             f"{elapsed:.1f}s")

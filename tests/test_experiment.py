@@ -317,6 +317,24 @@ class TestRunGrid:
         assert (Path(solo.out).with_suffix(".agg.csv").read_bytes()
                 == Path(duo.out).with_suffix(".agg.csv").read_bytes())
 
+    def test_failed_trial_leaves_whole_cells(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fail_third(*args, _trial=experiment.run_trial, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("injected trial failure")
+            return _trial(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_trial", fail_third)
+        cfg = self._config(tmp_path)
+        with pytest.raises(RuntimeError, match="injected trial failure"):
+            run_grid(cfg)
+        with open(cfg.out, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2
+        with open(Path(cfg.out).with_suffix(".agg.csv"), newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 1
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = self._config(tmp_path)
         run_grid(cfg)
@@ -330,6 +348,56 @@ class TestRunGrid:
         with open(Path(cfg.out).with_suffix(".agg.csv"), newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(AGG_COLUMNS)
+
+
+# Sizes at which OpenBLAS splits the work between threads on two cores, so
+# that its rounding depends on the thread count.
+THREADED_GRIDS = (("complex", 200), ("real", 400))
+
+
+class TestBlasThreads:
+    def _config(self, tmp_path, case, n, name):
+        return GridConfig(case=case, n_values=(n,), sigmas=(1.0, 5.0), reps=2, seed_base=5,
+                          workers=1, out=str(tmp_path / f"{case}-{name}.csv"))
+
+    def test_csv_independent_of_caller_blas_threads(self, tmp_path, openblas_threads):
+        _, set_threads = openblas_threads
+        for threads in (2, 1):
+            set_threads(threads)
+            for case, n in THREADED_GRIDS:
+                run_grid(self._config(tmp_path, case, n, f"t{threads}"))
+        for case, _ in THREADED_GRIDS:
+            for suffix in (".csv", ".agg.csv"):
+                assert ((tmp_path / f"{case}-t2{suffix}").read_bytes()
+                        == (tmp_path / f"{case}-t1{suffix}").read_bytes()), (case, suffix)
+
+    def test_trials_run_on_one_thread_and_caller_count_restored(self, tmp_path, monkeypatch,
+                                                                openblas_threads):
+        get_threads, set_threads = openblas_threads
+        seen = []
+
+        def watched(*args, _trial=experiment.run_real_trial, **kwargs):
+            seen.append(get_threads())
+            return _trial(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_real_trial", watched)
+        set_threads(2)
+        run_grid(self._config(tmp_path, "real", 20, "watched"))
+        assert seen == [1, 1, 1, 1]
+        assert get_threads() == 2
+
+    def test_caller_thread_count_restored_after_a_trial_raises(self, tmp_path, monkeypatch,
+                                                                openblas_threads):
+        get_threads, set_threads = openblas_threads
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected trial failure")
+
+        monkeypatch.setattr(experiment, "run_real_trial", fail)
+        set_threads(2)
+        with pytest.raises(RuntimeError, match="injected trial failure"):
+            run_grid(self._config(tmp_path, "real", 20, "failed"))
+        assert get_threads() == 2
 
 
 class TestCurves:
