@@ -7,8 +7,8 @@ semidefinite, ``x x*`` solves the relaxation ``max tr(C X)`` over unit
 diagonal PSD matrices, so the estimator is globally optimal (tight). If in
 addition the second smallest eigenvalue is strictly positive, ``S`` has rank
 ``n - 1`` and ``x x*`` is the unique solution. :func:`verdict` makes that
-test for any certificate, including the closed form at planted signs in the
-real case.
+test for any certificate; in the real case, ``z2.planted_verdict`` proves it
+by a factorization first and calls :func:`verdict` only when that fails.
 """
 
 from __future__ import annotations

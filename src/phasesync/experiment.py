@@ -31,13 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import verdict
 from .hermitian import quad_form
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
 from .solver import SolverOptions, solve_second_order
-from .z2 import random_signs, real_certificate, sample_real_wigner
+from .z2 import planted_verdict, random_signs, sample_real_wigner
 
 WORKERS_ENV_VAR = "PHASESYNC_WORKERS"
 
@@ -65,8 +64,8 @@ class GridConfig:
             raise ConfigError(f"case must be 'complex' or 'real', got {self.case!r}")
         if not self.n_values or any(n < 2 for n in self.n_values):
             raise ConfigError("n_values must be a nonempty list of integers >= 2")
-        if not self.sigmas or any(s < 0.0 for s in self.sigmas):
-            raise ConfigError("sigmas must be a nonempty list of nonnegative reals")
+        if not self.sigmas or not all(0.0 <= s < math.inf for s in self.sigmas):
+            raise ConfigError("sigmas must be a nonempty list of finite nonnegative reals")
         if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps}")
         if self.seed_base < 0:
@@ -187,19 +186,20 @@ def run_trial(
 
 
 def run_real_trial(n: int, sigma: float, seed: int, rep: int = 0) -> TrialRecord:
-    """Real-case trial: evaluate the closed-form certificate at the planted
-    signs. No iterative solve is involved, so ``converged`` is always true
-    and the cost columns both carry the planted cost ``z^T C z``, taken as
-    ``n^2 + sigma z^T W z`` (``W`` has a zero diagonal). Everything stays in
-    float64 on the real ``W`` and ``z``; the data matrix ``C`` is never
-    formed."""
+    """Real-case trial: decide exact recovery at the planted signs with
+    :func:`~phasesync.z2.planted_verdict`, one Cholesky factorization and an
+    eigenvalue solve only when it fails. No iterative solve is involved, so
+    ``converged`` is always true and the cost columns both carry the planted
+    cost ``z^T C z``, taken as ``n^2 + sigma z^T W z`` (``W`` has a zero
+    diagonal). Everything stays in float64 on the real ``W`` and ``z``; the
+    data matrix ``C`` is never formed."""
     t0 = time.perf_counter()
 
     z = random_signs(n, seed)
     w = sample_real_wigner(n, seed)
     zp = PhaseVector(z.vec)
     disc = is_discordant(w, zp)
-    cert = verdict(real_certificate(z, w, sigma), z.vec)
+    cert = planted_verdict(z, w, sigma)
     bounds = evaluate_bounds(zp, w, sigma, zp)
     cost_z = n * n + sigma * float(z.vec @ (w.mat @ z.vec))
 

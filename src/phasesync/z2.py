@@ -7,9 +7,12 @@ closed form
 
     S = n I - z z^T + sigma (diag(z o (W z)) - W),
 
-so exact recovery by the semidefinite relaxation reduces to a single
-eigenvalue computation: the relaxation recovers ``z z^T`` exactly iff
-``S`` is positive semidefinite, which ``certificate.verdict`` decides.
+so exact recovery by the semidefinite relaxation reduces to one spectral
+fact: the relaxation recovers ``z z^T`` exactly, and uniquely, iff ``S`` is
+positive semidefinite with rank ``n - 1``. :func:`planted_verdict` decides it
+with one Cholesky factorization, and runs the eigenvalue verdict
+``certificate.verdict`` (one ``eigvalsh`` of ``S``) only when the
+factorization fails.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, CertificateReport, verdict
 from .hermitian import HermitianMatrix
 from .model import REAL_WIGNER_STREAM, SIGN_STREAM, philox_stream
 
@@ -64,6 +68,23 @@ def sample_real_wigner(n: int, seed: int) -> HermitianMatrix:
     return HermitianMatrix(w)
 
 
+def _real_noise(signal: SignVector, noise: HermitianMatrix, sigma: float) -> np.ndarray:
+    # The checks both certificate forms make; returns the real part of W.
+    if noise.n != signal.n:
+        raise ValueError("signal and noise sizes disagree")
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if np.iscomplexobj(noise.mat) and np.any(noise.mat.imag != 0.0):
+        raise ValueError("noise matrix must be real")
+    return noise.mat.real
+
+
+def _assert_kernel(residual: float, n: int) -> None:
+    assert residual <= 1e-10 * n, (
+        f"certificate does not annihilate the signal: residual {residual:.3e}"
+    )
+
+
 def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:
     """Closed-form dual certificate at the planted sign vector.
 
@@ -74,22 +95,67 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
     complex-typed noise matrix is accepted when its imaginary parts are all
     zero, and its real part is used.
     """
-    if noise.n != signal.n:
-        raise ValueError("signal and noise sizes disagree")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if np.iscomplexobj(noise.mat) and np.any(noise.mat.imag != 0.0):
-        raise ValueError("noise matrix must be real")
+    w = _real_noise(signal, noise, sigma)
     n = signal.n
     z = signal.vec
-    w = noise.mat.real
     wz = w @ z
     s = -np.outer(z, z) - sigma * w
     np.fill_diagonal(s, n - 1.0 + sigma * (z * wz))
     out = HermitianMatrix(s)
-    kernel_residual = float(np.linalg.norm(out.mat @ z))
-    assert kernel_residual <= 1e-10 * n, (
-        f"certificate does not annihilate the signal: residual {kernel_residual:.3e}"
-    )
+    _assert_kernel(float(np.linalg.norm(out.mat @ z)), n)
     return out
 
+
+def planted_verdict(signal: SignVector, noise: HermitianMatrix, sigma: float) -> CertificateReport:
+    """Exact-recovery verdict at the planted signs: the certificate
+    verdict on :func:`real_certificate`, proved by one Cholesky
+    factorization where it can be.
+
+    With ``tau = RANK_TOL * n``, the matrix
+    ``T = S + z z^T - tau I = (n - tau) I + sigma diag(z o W z) - sigma W``
+    is one scaled copy of ``W``. If it factorizes, it is positive definite
+    (Rump 2006, "Verification of positive definiteness"), and interlacing
+    under the rank-one update gives ``lambda_2(S) >= lambda_1(S + z z^T) >
+    tau``. The Kato-Temple inequality at the unit vector ``z / sqrt(n)``,
+    with Rayleigh quotient ``rho = z^T S z / n`` and residual
+    ``r^2 = ||S z - rho z||^2 / n``, then bounds
+    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. The trial is tight and
+    unique when the residual ``||S z||`` clears ``RESIDUAL_TOL * n`` (which
+    keeps ``rho`` below ``tau``) and that bound clears ``PSD_TOL * n``. The
+    report then carries the bound as ``min_eig`` and the proved floor
+    ``tau`` as ``second_eig``, not the eigenvalues themselves.
+
+    Otherwise (the factorization fails, or the bound misses its gate) the
+    report is exactly ``verdict(real_certificate(...), z)``, from one
+    ``eigvalsh`` of ``S``. Validation and the kernel assert are those of
+    :func:`real_certificate`.
+    """
+    w = _real_noise(signal, noise, sigma)
+    n = signal.n
+    z = signal.vec
+    tau = RANK_TOL * n
+    t = (-sigma) * w
+    np.fill_diagonal(t, (n - tau) + sigma * (z * (w @ z)))
+    # S z, evaluated through T.
+    e = t @ z - (n - tau) * z
+    residual = float(np.linalg.norm(e))
+    _assert_kernel(residual, n)
+    if residual <= RESIDUAL_TOL * n:
+        try:
+            np.linalg.cholesky(t)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # |rho| <= ||e|| / sqrt(n) <= RESIDUAL_TOL sqrt(n) < tau, as
+            # Kato-Temple requires.
+            rho = float(z @ e) / n
+            min_eig = rho - float(np.sum((e - rho * z) ** 2)) / n / (tau - rho)
+            if min_eig >= PSD_TOL * n:
+                diag_min = float(np.min(np.diagonal(t))) + tau - 1.0
+                return CertificateReport(
+                    residual=residual, min_eig=min_eig, second_eig=tau,
+                    diag_min=diag_min, tight=True, unique=True,
+                )
+    # Free T before the eigenvalue path builds S.
+    del t
+    return verdict(real_certificate(signal, noise, sigma), z)

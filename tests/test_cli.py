@@ -219,6 +219,18 @@ out = {out}
         rows = parse_table(stdout)
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sigma_rejected_before_any_trial(self, capsys, tmp_path, bad):
+        out = tmp_path / "g.csv"
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(self.CFG.format(case="real", out=out).replace(
+            "sigma_list = 0.2 0.5", f"sigma_list = 0.5 {bad}"))
+        code, stdout, err = run_cli(capsys, "real-grid", "--config", str(cfg))
+        assert code == 1
+        assert "finite" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_workers_env_override(self, capsys, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

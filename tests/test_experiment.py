@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   curve_values, emit_curves, parse_grid_config,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
-from phasesync import experiment, model
-from phasesync.certificate import build_certificate
+from phasesync import experiment, model, z2
+from phasesync.certificate import build_certificate, verdict
 from phasesync.hermitian import quad_form
 from phasesync.model import PhaseVector, assemble_instance, trial_seed
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
@@ -236,11 +238,20 @@ class TestEigensolves:
         assert log == [("eigh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
         assert trial_csv_row(again) == trial_csv_row(rec)
 
-    def test_real_trial_decomposes_s_once(self, monkeypatch):
+    def test_unique_real_trial_runs_no_eigensolve(self, monkeypatch):
+        # The Cholesky factorization proves the verdict by itself.
         n, sigma, seed = 12, 0.5, 5
+        log = _watch_eigensolves(monkeypatch)
+        rec = run_real_trial(n, sigma, seed)
+        assert rec.tight and rec.unique
+        assert log == []
+
+    def test_real_trial_beyond_threshold_decomposes_s_once(self, monkeypatch):
+        n, sigma, seed = 40, 12.0, 6
         s = real_certificate(random_signs(n, seed), sample_real_wigner(n, seed), sigma)
         log = _watch_eigensolves(monkeypatch)
-        run_real_trial(n, sigma, seed)
+        rec = run_real_trial(n, sigma, seed)
+        assert not rec.tight
         assert log == [("eigvalsh", _digest(s.mat))]
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
@@ -254,6 +265,66 @@ class TestEigensolves:
         _, _, rep = run_trial_detailed(n, sigma, seed)
         assert rep.converged and rep.escapes == 0
         assert "injected failure" in rep.certificate.error
+
+
+class TestPlantedProof:
+    """The factorization that proves a real trial agrees with the eigenvalue
+    verdict it replaces, and gives way to it when it fails."""
+
+    @staticmethod
+    def _eig_verdict(n, sigma, seed):
+        z = random_signs(n, seed)
+        s = real_certificate(z, sample_real_wigner(n, seed), sigma)
+        return s, verdict(s, z.vec)
+
+    def test_matches_eigenvalue_verdict_across_the_threshold(self, monkeypatch):
+        outcomes = set()
+        for n in (20, 60, 200):
+            threshold = math.sqrt(n / (2 * math.log(n)))
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                for seed in range(3):
+                    sigma = factor * threshold
+                    log = _watch_eigensolves(monkeypatch)
+                    rec = run_real_trial(n, sigma, seed)
+                    proved = not log
+                    monkeypatch.undo()
+                    s, ref = self._eig_verdict(n, sigma, seed)
+                    assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
+                    outcomes.add(rec.unique)
+                    if proved:
+                        # Bounds on the eigenvalues, within the eigensolver's
+                        # own rounding.
+                        slack = n * np.finfo(float).eps * np.linalg.norm(s.mat)
+                        assert rec.second_eig_S <= ref.second_eig + slack
+                        assert rec.min_eig_S <= ref.min_eig + slack
+                    else:
+                        assert (rec.min_eig_S, rec.second_eig_S) == (ref.min_eig, ref.second_eig)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n, sigma, seed", [(12, 0.5, 5), (60, 1.0, 3), (40, 12.0, 6)])
+    def test_failed_factorization_falls_back_to_the_eigenvalue_record(
+            self, monkeypatch, n, sigma, seed):
+        # Only the certificate's factorization fails; the noise-norm gate's
+        # factorizations run as usual.
+        cholesky = np.linalg.cholesky
+        injected = []
+
+        def failing(a, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == z2.__name__:
+                injected.append(a.shape)
+                raise np.linalg.LinAlgError("injected failure")
+            return cholesky(a, *args, **kwargs)
+
+        plain = run_real_trial(n, sigma, seed)
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        rec = run_real_trial(n, sigma, seed)
+        _, ref = self._eig_verdict(n, sigma, seed)
+        expected = dataclasses.replace(
+            plain, grad_norm=2.0 * ref.residual, min_eig_S=ref.min_eig,
+            second_eig_S=ref.second_eig, residual=ref.residual,
+            tight=ref.tight, unique=ref.unique)
+        assert injected == [(n, n)]
+        assert trial_csv_row(rec) == trial_csv_row(expected)
 
 
 class TestRunGrid:

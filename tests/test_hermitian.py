@@ -35,6 +35,25 @@ class TestHermitianMatrix:
         assert not h.mat.flags.writeable
         assert h.n == 2
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_exact_input_stored_as_its_average_in_a_private_copy(self, dtype):
+        # An exactly Hermitian input skips the averaging pass; the stored
+        # matrix must still be the average bit for bit, and the caller's
+        # array must stay writable and unchanged.
+        rng = _rng(17)
+        a = rng.normal(size=(30, 30)).astype(dtype)
+        if dtype == np.complex128:
+            a = a + 1j * rng.normal(size=(30, 30))
+        m = a + a.conj().T
+        np.fill_diagonal(m, np.diag(m).real)
+        before = m.copy()
+        h = HermitianMatrix(m)
+        average = (before + before.conj().T) / 2.0
+        assert h.mat.tobytes() == average.tobytes()
+        assert m.flags.writeable
+        assert m.tobytes() == before.tobytes()
+        assert not np.shares_memory(h.mat, m)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from phasesync.certificate import verdict
 from phasesync.hermitian import HermitianMatrix, extreme_eigs
-from phasesync.z2 import SignVector, random_signs, real_certificate, sample_real_wigner
+from phasesync.z2 import (SignVector, planted_verdict, random_signs, real_certificate,
+                          sample_real_wigner)
 
 from reference import jacobi_eigvalsh
 
@@ -124,6 +125,16 @@ class TestRealCertificate:
         w = sample_real_wigner(8, 1)
         with pytest.raises(ValueError):
             real_certificate(z, w, -0.5)
+
+    def test_planted_verdict_validates_like_real_certificate(self):
+        from phasesync.model import sample_wigner
+        z = random_signs(8, 1)
+        with pytest.raises(ValueError, match="real"):
+            planted_verdict(z, sample_wigner(8, 1), 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            planted_verdict(z, sample_real_wigner(8, 1), -0.5)
+        with pytest.raises(ValueError, match="sizes"):
+            planted_verdict(z, sample_real_wigner(9, 1), 1.0)
 
 
 def _recovery(z, w, sigma):
