@@ -6,13 +6,19 @@ objective, the Hermitian matrix ``S = Re diag(C x xbar) - C`` satisfies
 semidefinite, ``x x*`` solves the relaxation ``max tr(C X)`` over unit
 diagonal PSD matrices, so the estimator is globally optimal (tight). If in
 addition the second smallest eigenvalue is strictly positive, ``S`` has rank
-``n - 1`` and ``x x*`` is the unique solution. :func:`verdict` makes that
-test for any certificate; in the real case, ``z2.planted_verdict`` proves it
-by a factorization first and calls :func:`verdict` only when that fails.
+``n - 1`` and ``x x*`` is the unique solution.
+
+:func:`verdict` makes that test for any certificate from its eigenvalues,
+and :func:`certify`, the public entry point, runs it. The trial paths try
+:func:`proved_verdict` first: one Cholesky factorization that proves
+tightness and uniqueness without an eigensolve, with :func:`verdict` run
+only when the proof fails. ``z2.planted_verdict`` does so at the planted
+signs of the real case, and the solver at its own estimate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,9 @@ class CertificateReport:
     diagonal entry of ``S``, a cheap necessary sanity value: at any
     second-order critical point it should not be substantially negative.
     ``error`` carries an eigensolver failure note; both flags are false then.
+    A report from :func:`proved_verdict` carries bounds instead of
+    eigenvalues: ``min_eig`` is a lower bound on the smallest and
+    ``second_eig`` the floor ``RANK_TOL * n`` under the second.
     """
 
     residual: float
@@ -83,6 +92,55 @@ def verdict(s: HermitianMatrix, kernel: np.ndarray) -> CertificateReport:
     return CertificateReport(
         residual=residual, min_eig=min_eig, second_eig=second_eig,
         diag_min=diag_min, tight=tight, unique=unique,
+    )
+
+
+def proved_verdict(kernel: np.ndarray, diag: np.ndarray,
+                   assemble: Callable[[], tuple[np.ndarray, np.ndarray]]
+                   ) -> CertificateReport | None:
+    """Tight-and-unique verdict on the certificate ``S`` at the unit-modulus
+    candidate ``kernel`` (``x``), proved by one Cholesky factorization, or
+    None when the proof fails.
+
+    With ``tau = RANK_TOL * n``, let ``T = S + x x* - tau I``; ``diag`` is its
+    diagonal, and ``assemble()`` returns ``T`` itself with ``e = S x``. A
+    diagonal entry at or below 0 shows that ``T`` is not positive definite,
+    so nothing is assembled then. If ``T`` factorizes, it is positive
+    definite (Rump 2006, "Verification of positive definiteness"), and
+    interlacing under the rank-one update gives
+    ``lambda_2(S) >= lambda_1(S + x x*) > tau``. The Kato-Temple inequality at
+    the unit vector ``x / sqrt(n)``, with Rayleigh quotient ``rho = x* e / n``
+    and residual ``r^2 = ||e - rho x||^2 / n``, then bounds
+    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. The proof holds when the
+    residual ``||e||`` clears ``RESIDUAL_TOL * n`` (which keeps ``rho`` below
+    ``tau``), the factorization succeeds and that bound clears
+    ``PSD_TOL * n``. The report then carries the bound as ``min_eig`` and
+    the proved floor ``tau`` as ``second_eig``, not the eigenvalues
+    themselves, and ``diag_min`` is ``min(diag) + tau - 1``, the smallest
+    diagonal entry of ``S`` to rounding. A failed proof decides nothing:
+    the caller runs :func:`verdict`.
+    """
+    n = kernel.size
+    tau = RANK_TOL * n
+    if not np.min(diag) > 0.0:
+        return None
+    t, e = assemble()
+    residual = float(np.linalg.norm(e))
+    if residual > RESIDUAL_TOL * n:
+        return None
+    try:
+        np.linalg.cholesky(t)
+    except np.linalg.LinAlgError:
+        return None
+    # |rho| <= ||e|| / sqrt(n) <= RESIDUAL_TOL sqrt(n) < tau, as Kato-Temple
+    # requires.
+    rho = float(np.vdot(kernel, e).real) / n
+    min_eig = rho - float(np.sum(np.abs(e - rho * kernel) ** 2)) / n / (tau - rho)
+    if min_eig < PSD_TOL * n:
+        return None
+    return CertificateReport(
+        residual=residual, min_eig=min_eig, second_eig=tau,
+        diag_min=float(np.min(diag)) + tau - 1.0, tight=True, unique=True,
     )
 
 

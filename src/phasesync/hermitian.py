@@ -15,9 +15,9 @@ reads) checks that the spectrum reproduces the trace and Frobenius norm.
 Where a question is only whether a matrix is positive definite, a Cholesky
 factorization answers it with a proof and no eigensolve (Rump 2006,
 "Verification of positive definiteness"): :func:`norm_at_most` decides a
-spectral-norm bound with two of them, and ``z2.planted_verdict`` proves the
-real-case recovery verdict with one, falling back to :func:`smallest_eigvals`
-only when it fails.
+spectral-norm bound with two of them, and ``certificate.proved_verdict``
+proves a trial's certificate verdict with one, real or complex, falling back
+to :func:`smallest_eigvals` only when it fails.
 """
 
 from __future__ import annotations
@@ -193,14 +193,6 @@ def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
     return vals[:k]
 
 
-def operator_norm(h: HermitianMatrix) -> float:
-    """Spectral norm, i.e. the largest eigenvalue magnitude."""
-    if h.n == 1:
-        return float(np.abs(h.mat[0, 0]))
-    eig = extreme_eigs(h, 1, 1)
-    return float(np.max(np.abs(eig.values)))
-
-
 def norm_at_most(h: HermitianMatrix, bound: float) -> bool:
     """Whether the spectral norm ``||H||`` is at most ``bound``.
 
@@ -209,9 +201,9 @@ def norm_at_most(h: HermitianMatrix, bound: float) -> bool:
     without an eigensolve (Rump 2006, "Verification of positive
     definiteness"). A factorization succeeds only on a positive definite
     matrix, and its backward error is of order ``n eps ||H||``, the same as
-    that of the eigenvalues :func:`operator_norm` compares; the two answers
-    can differ only when ``||H||`` equals ``bound`` to within rounding (a zero
-    ``H`` against a zero ``bound`` reads false).
+    that of the eigenvalues a dense eigensolver would compare; the two
+    answers can differ only when ``||H||`` equals ``bound`` to within
+    rounding (a zero ``H`` against a zero ``bound`` reads false).
     """
     diag = np.diag_indices(h.n)
     for sign in (-1.0, 1.0):

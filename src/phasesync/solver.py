@@ -15,32 +15,44 @@ once, and escapes only along a tangent direction of negative curvature:
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* at a first-order point ``S`` is built and ``certificate.verdict`` decides
-  on its eigenvalues alone. Tangent vectors there are ``i x o theta`` with
+* at a first-order point ``certificate.proved_verdict`` first tries to
+  prove the point tight and unique with one Cholesky factorization of
+  ``T = S + x x* - tau I`` (``tau = RANK_TOL * n``), which is ``x x* - C``
+  with a new diagonal, reusing the loop's own half gradient ``e = S x``. A
+  proved point is the global optimum and needs no escape test. Only when
+  the proof fails is ``S`` built and ``certificate.verdict`` decides on its
+  eigenvalues alone. Tangent vectors there are ``i x o theta`` with
   ``theta`` real, on which the Hessian's quadratic form is exactly
   ``2 theta^T H theta``, ``H = Re(diag(xbar) S diag(x))`` (Boumal 2016,
   "Nonconvex phase synchronization"), so ``min_eig(H) >= min_eig(S)``. Only
-  when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed and decomposed (one
-  real eigensolve). If ``min_eig(H)`` is below that floor too, its
-  eigenvector gives a unit tangent direction of curvature ``2 min_eig(H)``;
-  a backtracking step along it strictly increases the cost, and the ascent
-  resumes. Otherwise the point is second-order critical. The floor also
-  keeps the global-phase kernel ``H 1 = 0`` from being taken as a
-  direction. Escapes are counted and capped.
+  when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed. A Cholesky
+  factorization of ``H + ESCAPE_TOL * n I`` then proves that no escape
+  exists; only when it fails is ``H`` decomposed (one real eigensolve). If
+  ``min_eig(H)`` is below the floor, its eigenvector gives a unit tangent
+  direction of curvature ``2 min_eig(H)``; a backtracking step along it
+  strictly increases the cost, and the ascent resumes. Otherwise the point
+  is second-order critical. The floor also keeps the global-phase kernel
+  ``H 1 = 0`` from being taken as a direction. Escapes are counted and
+  capped.
 
 The report carries the certificate verdict of the returned point: the one
 made at the last check, or, when the run ended without one (iteration budget
-spent, or escape cap reached), a :func:`certify` of the final point.
+spent, or escape cap reached), a :func:`certify` of the final point. A
+proved verdict carries bounds as ``min_eig`` and ``second_eig`` (see
+``certificate.proved_verdict``); any other is exactly what :func:`certify`
+reports.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import CertificateReport, build_certificate, certify, verdict
+from .certificate import (RANK_TOL, CertificateReport, build_certificate, certify,
+                          proved_verdict, verdict)
 from .hermitian import EigensolverError, HermitianMatrix, extreme_eigs
 from .manifold import PhaseVector, TangentVector, retract
 
@@ -91,7 +103,9 @@ class SolverReport:
     tracked separately. ``beat_planted`` is None when no planted signal was
     supplied, otherwise it records ``cost >= planted cost - BEAT_COST_SLACK n^2``.
     ``converged`` implies ``grad_norm <= grad_tol * n``. ``certificate`` is
-    the verdict on ``x``, exactly what :func:`certify` reports.
+    the verdict on ``x``: the flags of :func:`certify`, and its eigenvalues
+    too unless a factorization proved the verdict, in which case
+    ``min_eig`` and ``second_eig`` are bounds on them.
     """
 
     x: PhaseVector
@@ -102,11 +116,6 @@ class SolverReport:
     beat_planted: bool | None
     converged: bool
     certificate: CertificateReport
-
-
-def _grad_dir(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Gradient of g(x) = -x* C x given w = C x: the tangent part of -2w.
-    return 2.0 * (w * x.conj()).real * x - 2.0 * w
 
 
 def _round_phases(v: np.ndarray) -> PhaseVector:
@@ -127,13 +136,44 @@ def spectral_init(data: HermitianMatrix) -> PhaseVector:
     return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
 
 
+def _certificate(data: HermitianMatrix, point: PhaseVector, a: np.ndarray,
+                 e: np.ndarray) -> tuple[CertificateReport, HermitianMatrix | None]:
+    # The verdict at a first-order point, from the power loop's own
+    # a = Re(w o xbar) and e = S x, with w = C x. ``proved_verdict`` factorizes
+    # T = x x* - C with diagonal a - Re diag(C) + |x|^2 - tau; S is built, and
+    # returned for the escape test, only when that proof fails.
+    x = point.vec
+    n = point.n
+    diag = a - np.diagonal(data.mat).real + (x.real * x.real + x.imag * x.imag) - RANK_TOL * n
+
+    def assemble():
+        t = np.outer(x, x.conj()) - data.mat
+        np.fill_diagonal(t, diag)
+        return t, e
+
+    report = proved_verdict(x, diag, assemble)
+    if report is not None:
+        return report, None
+    s = build_certificate(data, point)
+    return verdict(s, x), s
+
+
 def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector | None:
     # ``s`` is the certificate at ``point``; the escape direction is
     # ``i x o theta`` for the bottom eigenvector theta of the tangent Hessian H.
+    # A Cholesky factorization of H + ESCAPE_TOL n I proves that there is
+    # none without the eigensolve.
     x = point.vec
+    n = point.n
     h = HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
+    try:
+        np.linalg.cholesky(h.mat + ESCAPE_TOL * n * np.eye(n))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return None
     eig = extreme_eigs(h, 1, 0)
-    if eig.values[0] >= -ESCAPE_TOL * point.n:
+    if eig.values[0] >= -ESCAPE_TOL * n:
         return None
     return TangentVector(point, 1j * x * eig.vectors[:, 0])
 
@@ -190,7 +230,11 @@ def solve_second_order(
 
     while True:
         w = cmat @ x
-        gn = float(np.linalg.norm(_grad_dir(w, x)))
+        # e = S x is half the Riemannian gradient of -x* C x, and gn its norm
+        # (numpy's own formula for a vector norm).
+        a = (w * x.conj()).real
+        e = a * x - w
+        gn = 2.0 * math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
         if gn <= tol:
             cost_x = float(np.vdot(x, w).real)
             if signal is not None and not restarted and cost_x < cost_z:
@@ -199,8 +243,7 @@ def solve_second_order(
                 continue
             if escapes < opts.max_escapes:
                 point = PhaseVector(x)
-                s = build_certificate(data, point)
-                report = verdict(s, point.vec)
+                report, s = _certificate(data, point, a, e)
                 direction = None
                 if report.error is None and report.min_eig < -ESCAPE_TOL * n:
                     try:
@@ -222,25 +265,28 @@ def solve_second_order(
         if iterations >= opts.max_iters:
             break
         y = w + shift * x
-        a = np.abs(y)
-        safe = a > PHASE_FLOOR
-        x = np.where(safe, y / np.where(safe, a, 1.0), x)
+        r = np.abs(y)
+        # The guard for entries without a usable phase, only when one exists.
+        if r.min() > PHASE_FLOOR:
+            x = y / r
+        else:
+            safe = r > PHASE_FLOOR
+            x = np.where(safe, y / np.where(safe, r, 1.0), x)
         iterations += 1
 
+    # Both exits leave w = C x and gn for the final x.
     final = PhaseVector(x)
     if cert is None:
         cert = certify(data, final)
-    w = cmat @ final.vec
-    grad_norm = float(np.linalg.norm(_grad_dir(w, final.vec)))
-    cost = float(np.vdot(final.vec, w).real)
+    cost = float(np.vdot(x, w).real)
     beat = None
     if signal is not None:
         beat = bool(cost >= cost_z - BEAT_COST_SLACK * n * n)
     if not converged:
         logger.warning("no convergence in %d power steps (grad norm %.3e, tol %.3e)",
-                       iterations, grad_norm, tol)
+                       iterations, gn, tol)
     return SolverReport(
-        x=final, cost=cost, grad_norm=grad_norm,
+        x=final, cost=cost, grad_norm=gn,
         iterations=iterations, escapes=escapes,
         beat_planted=beat, converged=converged, certificate=cert,
     )

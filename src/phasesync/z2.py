@@ -12,7 +12,7 @@ fact: the relaxation recovers ``z z^T`` exactly, and uniquely, iff ``S`` is
 positive semidefinite with rank ``n - 1``. :func:`planted_verdict` decides it
 with one Cholesky factorization, and runs the eigenvalue verdict
 ``certificate.verdict`` (one ``eigvalsh`` of ``S``) only when the
-factorization fails.
+factorization fails or is bound to fail.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, CertificateReport, verdict
+from .certificate import RANK_TOL, CertificateReport, proved_verdict, verdict
 from .hermitian import HermitianMatrix
 from .model import REAL_WIGNER_STREAM, SIGN_STREAM, philox_stream
 
@@ -108,24 +108,13 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
 
 def planted_verdict(signal: SignVector, noise: HermitianMatrix, sigma: float) -> CertificateReport:
     """Exact-recovery verdict at the planted signs: the certificate
-    verdict on :func:`real_certificate`, proved by one Cholesky
-    factorization where it can be.
+    verdict on :func:`real_certificate`, proved by
+    ``certificate.proved_verdict`` where it can be.
 
-    With ``tau = RANK_TOL * n``, the matrix
-    ``T = S + z z^T - tau I = (n - tau) I + sigma diag(z o W z) - sigma W``
-    is one scaled copy of ``W``. If it factorizes, it is positive definite
-    (Rump 2006, "Verification of positive definiteness"), and interlacing
-    under the rank-one update gives ``lambda_2(S) >= lambda_1(S + z z^T) >
-    tau``. The Kato-Temple inequality at the unit vector ``z / sqrt(n)``,
-    with Rayleigh quotient ``rho = z^T S z / n`` and residual
-    ``r^2 = ||S z - rho z||^2 / n``, then bounds
-    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. The trial is tight and
-    unique when the residual ``||S z||`` clears ``RESIDUAL_TOL * n`` (which
-    keeps ``rho`` below ``tau``) and that bound clears ``PSD_TOL * n``. The
-    report then carries the bound as ``min_eig`` and the proved floor
-    ``tau`` as ``second_eig``, not the eigenvalues themselves.
-
-    Otherwise (the factorization fails, or the bound misses its gate) the
+    With ``tau = RANK_TOL * n``, the matrix the proof factorizes,
+    ``T = S + z z^T - tau I = (n - tau) I + sigma diag(z o W z) - sigma W``,
+    is one scaled copy of ``W``, and ``S z`` is evaluated through it. It is
+    built only when its diagonal is positive. When the proof fails the
     report is exactly ``verdict(real_certificate(...), z)``, from one
     ``eigvalsh`` of ``S``. Validation and the kernel assert are those of
     :func:`real_certificate`.
@@ -134,28 +123,16 @@ def planted_verdict(signal: SignVector, noise: HermitianMatrix, sigma: float) ->
     n = signal.n
     z = signal.vec
     tau = RANK_TOL * n
-    t = (-sigma) * w
-    np.fill_diagonal(t, (n - tau) + sigma * (z * (w @ z)))
-    # S z, evaluated through T.
-    e = t @ z - (n - tau) * z
-    residual = float(np.linalg.norm(e))
-    _assert_kernel(residual, n)
-    if residual <= RESIDUAL_TOL * n:
-        try:
-            np.linalg.cholesky(t)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            # |rho| <= ||e|| / sqrt(n) <= RESIDUAL_TOL sqrt(n) < tau, as
-            # Kato-Temple requires.
-            rho = float(z @ e) / n
-            min_eig = rho - float(np.sum((e - rho * z) ** 2)) / n / (tau - rho)
-            if min_eig >= PSD_TOL * n:
-                diag_min = float(np.min(np.diagonal(t))) + tau - 1.0
-                return CertificateReport(
-                    residual=residual, min_eig=min_eig, second_eig=tau,
-                    diag_min=diag_min, tight=True, unique=True,
-                )
-    # Free T before the eigenvalue path builds S.
-    del t
+    diag = (n - tau) + sigma * (z * (w @ z))
+
+    def assemble():
+        t = (-sigma) * w
+        np.fill_diagonal(t, diag)
+        e = t @ z - (n - tau) * z
+        _assert_kernel(float(np.linalg.norm(e)), n)
+        return t, e
+
+    report = proved_verdict(z, diag, assemble)
+    if report is not None:
+        return report
     return verdict(real_certificate(signal, noise, sigma), z)

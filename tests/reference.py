@@ -4,12 +4,16 @@ Deliberately slow and simple: the Jacobi eigensolver touches none of the
 LAPACK drivers the package routes through, the quadratic form is a plain
 double loop, and the phase-distance scan brute-forces the global phase.
 Values computed here are trusted because the algorithms are short enough to
-audit by eye, not because they are fast.
+audit by eye, not because they are fast. :func:`operator_norm` is the one
+exception: a dense solve through the package, kept here because only tests
+read a spectral norm (the package decides its norm bound by factorization).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from phasesync.hermitian import HermitianMatrix, extreme_eigs
 
 
 def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -49,6 +53,15 @@ def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
                 a = r.conj().T @ a @ r
     vals = np.sort(np.diag(a).real)
     return vals
+
+
+def operator_norm(h: HermitianMatrix) -> float:
+    """Spectral norm, i.e. the largest eigenvalue magnitude, from the two
+    extreme eigenvalues of one dense solve."""
+    if h.n == 1:
+        return float(np.abs(h.mat[0, 0]))
+    eig = extreme_eigs(h, 1, 1)
+    return float(np.max(np.abs(eig.values)))
 
 
 def real_inner(u, v) -> float:
@@ -94,3 +107,16 @@ def power_opnorm(mat: np.ndarray, iters: int = 4000, seed: int = 0) -> float:
             return 0.0
         v = w / nw
     return float(np.sqrt(max(lam, 0.0)))
+
+
+def power_iterates(mat: np.ndarray, x: np.ndarray, shift: float, steps: int):
+    """Projected power steps x <- phase((M + shift I) x), leaving entries
+    below 1e-14 in modulus at their previous phase, with the gradient norm
+    ``||2 Re(w o conj(x)) o x - 2 w||`` (``w = M x``) of the final iterate."""
+    for _ in range(steps):
+        y = mat @ x + shift * x
+        a = np.abs(y)
+        safe = a > 1e-14
+        x = np.where(safe, y / np.where(safe, a, 1.0), x)
+    w = mat @ x
+    return x, float(np.linalg.norm(2.0 * (w * x.conj()).real * x - 2.0 * w))

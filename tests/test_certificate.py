@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate, certify,
-                                   verdict)
+                                   proved_verdict, verdict)
 from phasesync.hermitian import extreme_eigs, quad_form
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order, spectral_init
@@ -171,6 +171,59 @@ class TestValuesOnlyVerdict:
                 seen.add((np.iscomplexobj(s.mat), tight, unique))
         for cplx in (False, True):
             assert {(cplx, False, False), (cplx, True, True)} <= seen
+
+
+class TestProvedVerdict:
+    """The factorization proof on certificates with a known spectrum."""
+
+    @staticmethod
+    def _tilted(theta, mu):
+        # S = sum_k mu_k q_k q_k^T with mu_1 = 0, where q_1 is the unit vector
+        # x / 2, x = (1, 1, 1, 1), tilted by theta, so S x is small but not 0.
+        n = 4
+        x = np.ones(n)
+        m = np.column_stack([x, np.random.default_rng(3).normal(size=(n, n - 1))])
+        q, _ = np.linalg.qr(m)
+        q[:, 0] *= np.sign(q[0, 0])
+        c, s = np.cos(theta), np.sin(theta)
+        q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
+        return q @ np.diag([0.0, *mu]) @ q.T, x
+
+    def _prove(self, s_mat, x):
+        n = x.size
+        tau = RANK_TOL * n
+        diag = np.diag(s_mat) + 1.0 - tau
+
+        def assemble():
+            return s_mat + np.outer(x, x) - tau * np.eye(n), s_mat @ x
+
+        return proved_verdict(x, diag, assemble)
+
+    def test_bound_holds_where_its_correction_decides(self):
+        # With lambda_2 just above tau, the Kato-Temple correction
+        # r^2 / (tau - rho) outweighs rho: the bound is negative, under the
+        # true lambda_1 = 0, and still clears PSD_TOL * n.
+        n = 4
+        s_mat, x = self._tilted(1e-3, (5e-8, 6e-8, 7e-8))
+        report = self._prove(s_mat, x)
+        assert report is not None and report.tight and report.unique
+        rho = float(x @ s_mat @ x) / n
+        assert PSD_TOL * n <= report.min_eig < 0.0 < rho
+        assert report.second_eig == RANK_TOL * n < 5e-8
+        assert report.residual == pytest.approx(np.linalg.norm(s_mat @ x), rel=1e-12)
+
+    def test_failed_proofs_decide_nothing(self):
+        # The bound misses its gate; lambda_2 is below tau, so T does not
+        # factorize; a nonpositive diagonal entry of T skips assembling it.
+        s_mat, x = self._tilted(1e-2, (5e-8, 6e-8, 7e-8))
+        assert self._prove(s_mat, x) is None
+        s_mat, x = self._tilted(1e-4, (3e-8, 6e-8, 7e-8))
+        assert self._prove(s_mat, x) is None
+
+        def refuse():
+            raise AssertionError("T assembled despite a nonpositive diagonal")
+
+        assert proved_verdict(x, np.array([1.0, 0.0, 1.0, 1.0]), refuse) is None
 
 
 class TestCertifyValidation:

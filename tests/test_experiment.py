@@ -13,8 +13,8 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   curve_values, emit_curves, parse_grid_config,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
-from phasesync import experiment, model, z2
-from phasesync.certificate import build_certificate, verdict
+from phasesync import certificate, experiment, hermitian, model
+from phasesync.certificate import RANK_TOL, build_certificate, certify, verdict
 from phasesync.hermitian import quad_form
 from phasesync.model import PhaseVector, assemble_instance, trial_seed
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
@@ -224,14 +224,43 @@ def _watch_eigensolves(monkeypatch, fail=()):
     return log
 
 
+def _fail_proof(monkeypatch):
+    """Make the certificate proof's Cholesky factorization fail, and only it:
+    the noise-norm gate and the escape test factorize as usual. Returns the
+    shapes of the matrices the proof was given."""
+    cholesky = np.linalg.cholesky
+    injected = []
+
+    def failing(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == certificate.__name__:
+            injected.append(a.shape)
+            raise np.linalg.LinAlgError("injected failure")
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    return injected
+
+
 class TestEigensolves:
     # The noise-norm event is decided by Cholesky factorizations, so W is
-    # never decomposed, and a verdict reads eigenvalues only, so S gets a
-    # values-only solve.
-    def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
+    # never decomposed, and so is a verdict where a factorization proves it;
+    # otherwise a verdict reads eigenvalues only, so S gets a values-only
+    # solve.
+    def test_unique_complex_trial_decomposes_c_only(self, monkeypatch):
         n, sigma, seed = 12, 0.3, 5
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
-        assert rep.escapes == 0
+        assert rec.unique and rep.escapes == 0
+        log = _watch_eigensolves(monkeypatch)
+        again = run_trial(n, sigma, seed)
+        assert log == [("eigh", _digest(inst.C.mat))]
+        assert trial_csv_row(again) == trial_csv_row(rec)
+
+    def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
+        # Not tight: S has a negative eigenvalue, and the tangent Hessian that
+        # is then formed factorizes, so it is never decomposed.
+        n, sigma, seed = 12, 3.0, 1
+        rec, inst, rep = run_trial_detailed(n, sigma, seed)
+        assert not rec.tight and rep.converged and rep.escapes == 0
         s = build_certificate(inst.C, rep.x)
         log = _watch_eigensolves(monkeypatch)
         again = run_trial(n, sigma, seed)
@@ -255,11 +284,14 @@ class TestEigensolves:
         assert log == [("eigvalsh", _digest(s.mat))]
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
-        # C decomposes; the certificate's values-only solve fails. The trial
-        # reports the failure as not tight instead of raising.
+        # C decomposes; the proof's factorization and then the certificate's
+        # values-only solve fail. The trial reports the failure as not tight
+        # instead of raising.
         n, sigma, seed = 12, 0.3, 5
+        injected = _fail_proof(monkeypatch)
         _watch_eigensolves(monkeypatch, fail={"eigvalsh"})
         rec = run_trial(n, sigma, seed)
+        assert injected == [(n, n)]
         assert not rec.tight and not rec.unique
         assert math.isnan(rec.min_eig_S)
         _, _, rep = run_trial_detailed(n, sigma, seed)
@@ -268,8 +300,9 @@ class TestEigensolves:
 
 
 class TestPlantedProof:
-    """The factorization that proves a real trial agrees with the eigenvalue
-    verdict it replaces, and gives way to it when it fails."""
+    """The factorization that proves a trial agrees with the eigenvalue
+    verdict it replaces, and gives way to it when it fails: at the planted
+    signs of a real trial, and at the solver's estimate in a complex one."""
 
     @staticmethod
     def _eig_verdict(n, sigma, seed):
@@ -301,30 +334,72 @@ class TestPlantedProof:
                         assert (rec.min_eig_S, rec.second_eig_S) == (ref.min_eig, ref.second_eig)
         assert outcomes == {True, False}
 
+    def test_complex_proof_matches_eigenvalue_verdict_across_the_edge(self, monkeypatch):
+        # sigma on both sides of the conjectured edge sqrt(n) / 3. A proved
+        # verdict bounds certify's eigenvalues at the solver's estimate; any
+        # other verdict is certify's, field for field.
+        unique, proved = set(), set()
+        for n in (20, 60, 200):
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                for seed in range(3):
+                    sigma = factor * math.sqrt(n) / 3.0
+                    log = _watch_eigensolves(monkeypatch)
+                    rec, inst, rep = run_trial_detailed(n, sigma, seed)
+                    factored = "eigvalsh" not in (name for name, _ in log)
+                    monkeypatch.undo()
+                    ref = certify(inst.C, rep.x)
+                    assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
+                    unique.add(rec.unique)
+                    proved.add(factored)
+                    if factored:
+                        s = build_certificate(inst.C, rep.x)
+                        slack = n * np.finfo(float).eps * np.linalg.norm(s.mat)
+                        assert rec.unique
+                        assert rec.second_eig_S <= ref.second_eig + slack
+                        assert rec.min_eig_S <= ref.min_eig + slack
+                    else:
+                        assert rep.certificate == ref
+        assert unique == {True, False}
+        assert proved == {True, False}
+
     @pytest.mark.parametrize("n, sigma, seed", [(12, 0.5, 5), (60, 1.0, 3), (40, 12.0, 6)])
     def test_failed_factorization_falls_back_to_the_eigenvalue_record(
             self, monkeypatch, n, sigma, seed):
         # Only the certificate's factorization fails; the noise-norm gate's
-        # factorizations run as usual.
-        cholesky = np.linalg.cholesky
-        injected = []
-
-        def failing(a, *args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == z2.__name__:
-                injected.append(a.shape)
-                raise np.linalg.LinAlgError("injected failure")
-            return cholesky(a, *args, **kwargs)
-
+        # factorizations run as usual. Beyond the threshold the factorization
+        # is not even tried (see the test below).
         plain = run_real_trial(n, sigma, seed)
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        injected = _fail_proof(monkeypatch)
         rec = run_real_trial(n, sigma, seed)
         _, ref = self._eig_verdict(n, sigma, seed)
         expected = dataclasses.replace(
             plain, grad_norm=2.0 * ref.residual, min_eig_S=ref.min_eig,
             second_eig_S=ref.second_eig, residual=ref.residual,
             tight=ref.tight, unique=ref.unique)
-        assert injected == [(n, n)]
+        assert injected == ([(n, n)] if plain.unique else [])
         assert trial_csv_row(rec) == trial_csv_row(expected)
+
+    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch):
+        # A diagonal entry of T = S + z z^T - tau I at or below 0 proves that
+        # its factorization fails, so it is neither built nor factorized.
+        n, sigma, seed = 40, 12.0, 6
+        z = random_signs(n, seed).vec
+        w = sample_real_wigner(n, seed).mat
+        assert np.min((n - RANK_TOL * n) + sigma * (z * (w @ z))) <= 0.0
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def watched(a, *args, **kwargs):
+            calls.append(sys._getframe(1).f_globals["__name__"])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", watched)
+        rec = run_real_trial(n, sigma, seed)
+        # Only the noise-norm gate factorizes.
+        assert set(calls) == {hermitian.__name__}
+        _, ref = self._eig_verdict(n, sigma, seed)
+        assert (rec.min_eig_S, rec.second_eig_S, rec.residual) == (
+            ref.min_eig, ref.second_eig, ref.residual)
 
 
 class TestRunGrid:

@@ -4,12 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs,
-                                 norm_at_most, operator_norm, quad_form,
-                                 smallest_eigvals, symmetrize)
+                                 norm_at_most, quad_form, smallest_eigvals,
+                                 symmetrize)
 from phasesync.model import sample_wigner
 from phasesync.z2 import sample_real_wigner
 
-from reference import jacobi_eigvalsh, power_opnorm, quad_form_loops
+from reference import jacobi_eigvalsh, operator_norm, power_opnorm, quad_form_loops
 
 
 def _rng(seed):

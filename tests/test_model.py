@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import operator_norm
 from phasesync.model import (PhaseVector, SyncInstance, assemble_instance,
                              is_discordant, noise_tail_stats, philox_stream,
                              random_signal, sample_wigner, trial_seed)
 
-from reference import power_opnorm
+from reference import operator_norm, power_opnorm
 
 
 class TestStreams:

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from phasesync import solver
 from phasesync.certificate import build_certificate, certify, verdict
-from phasesync.hermitian import EigensolverError, HermitianMatrix, quad_form
+from phasesync.hermitian import EigensolverError, HermitianMatrix, extreme_eigs, quad_form
 from phasesync.manifold import TangentVector, align_global_phase, hessian_vec
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import (ESCAPE_TOL, SolverOptions, _negative_curvature,
                               solve_second_order, spectral_init)
 
-from reference import real_inner
+from reference import power_iterates, real_inner
 
 
 def _instance(n, sigma, seed):
@@ -133,6 +133,22 @@ class TestModerateNoise:
         assert not rep.converged
         assert rep.iterations == 2
         assert rep.grad_norm > 1e-10 * 50
+
+    @pytest.mark.parametrize("sigma", [0.5, 3.0])
+    def test_iterates_match_the_plain_power_loop_bit_for_bit(self, sigma):
+        # The loop reuses its half gradient and skips the small-modulus guard
+        # when no entry needs it; neither may change a bit of any iterate.
+        n = 30
+        inst = _instance(n, sigma, 17)
+        x0 = spectral_init(inst.C)
+        shift = max(0.0, -float(extreme_eigs(inst.C, 1, 1).values[0]))
+        for budget in (1, 7, 40):
+            rep = solve_second_order(inst.C, x0, opts=SolverOptions(grad_tol=1e-300,
+                                                                    max_iters=budget))
+            x, grad_norm = power_iterates(inst.C.mat, x0.vec, shift, budget)
+            assert rep.iterations == budget
+            assert rep.x.vec.tobytes() == x.tobytes()
+            assert rep.grad_norm == grad_norm
 
     def test_monotone_cost_across_budgets(self):
         # The power iteration never decreases the objective, so cost as a
@@ -260,6 +276,29 @@ class TestEscape:
         assert rep.escapes >= 1
         assert _tangent_hessian_min_eig(data, rep.x) >= -ESCAPE_TOL * data.n
 
+    def test_factorized_hessian_runs_no_eigensolve(self, monkeypatch):
+        # A second-order critical point that is not tight: S has a negative
+        # eigenvalue, so H is formed, and a Cholesky factorization of
+        # H + ESCAPE_TOL n I proves that there is no escape.
+        n = 12
+        inst = _instance(n, 3.0, 1)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
+        assert rep.converged and rep.escapes == 0
+        assert rep.certificate.min_eig < -ESCAPE_TOL * n
+        s = build_certificate(inst.C, rep.x)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def watched(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", watched)
+        assert _negative_curvature(rep.x, s) is None
+        assert calls == []
+        monkeypatch.undo()
+        assert _tangent_hessian_min_eig(inst.C, rep.x) >= -ESCAPE_TOL * n
+
     def test_orthogonal_start_noiseless(self):
         # A start orthogonal to the planted signal lands on the zero-gradient
         # plateau of the rank-one objective; only the escape logic moves it.
@@ -273,10 +312,23 @@ class TestEscape:
         assert 2.0 * (4.0 - corr) <= 1e-8 * 4.0
 
 
+def _assert_proved_like_certify(data, rep):
+    # A verdict proved by factorization has certify's flags, and its min_eig
+    # and second_eig bound certify's eigenvalues within their rounding.
+    ref = certify(data, rep.x)
+    cert = rep.certificate
+    assert (cert.tight, cert.unique) == (ref.tight, ref.unique)
+    slack = data.n * np.finfo(float).eps * np.linalg.norm(build_certificate(data, rep.x).mat)
+    assert cert.min_eig <= ref.min_eig + slack
+    assert cert.second_eig <= ref.second_eig + slack
+
+
 class TestSharedDecompositions:
-    """The solver decomposes C once for its shift and its spectral start; each
-    certificate S gets one values-only solve for its verdict and escape test,
-    and an eigenvector solve only to escape."""
+    """The solver decomposes C once for its shift and its spectral start. At a
+    first-order point a Cholesky factorization proves the verdict where it
+    can; otherwise the certificate S gets one values-only solve for its
+    verdict and escape test, and an eigenvector solve only to escape. A run
+    that ends without a verdict reports certify's."""
 
     def test_default_start_is_spectral_init(self):
         inst = _instance(40, 1.0, 5)
@@ -296,7 +348,7 @@ class TestSharedDecompositions:
         inst = _instance(60, 0.5, 3)
         rep = solve_second_order(inst.C, None, signal=inst.z)
         assert rep.converged and rep.escapes == 0
-        assert rep.certificate == certify(inst.C, rep.x)
+        _assert_proved_like_certify(inst.C, rep)
         assert rep.certificate.tight and rep.certificate.unique
 
     def test_certificate_of_unconverged_run(self):
@@ -310,7 +362,7 @@ class TestSharedDecompositions:
         data, x = _saddle_pair()
         rep = solve_second_order(data, x)
         assert rep.escapes >= 1
-        assert rep.certificate == certify(data, rep.x)
+        _assert_proved_like_certify(data, rep)
         assert rep.certificate.tight and rep.certificate.unique
 
     def test_certificate_with_escape_cap_spent(self):
