@@ -122,7 +122,10 @@ def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int) -> EigenResult:
     """Smallest ``k_small`` and largest ``k_large`` eigenpairs of ``h``.
 
     Always one dense ``numpy.linalg.eigh``, at every n (a caller that reads
-    no vector asks :func:`smallest_eigvals`). LAPACK's Hermitian eigensolver
+    no vector asks :func:`smallest_eigvals`). The solver calls it for the
+    escape direction on its tangent Hessian, and for the spectral start only
+    when its inverse-iteration vector fails the residual gate below; it
+    never decomposes ``C`` otherwise. LAPACK's Hermitian eigensolver
     is backward stable: its values are exact for a matrix within
     a small multiple of ``eps ||H||`` of ``h``, which is what a verdict
     compared with the certificate's ``-1e-14 n`` floor needs. An iterative

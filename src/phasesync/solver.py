@@ -5,9 +5,11 @@ the point it returns, the question every trial asks: is the dual certificate
 ``S = Re diag(C x xbar) - C`` positive semidefinite? It converges, certifies
 once, and escapes only along a tangent direction of negative curvature:
 
-* one decomposition of ``C`` gives both the shift ``lam = max(0,
-  -min_eig(C))`` and, when no start is given, the spectral start (the phases
-  of the top eigenvector, exactly :func:`spectral_init`);
+* one gated values-only solve of ``C`` gives the shift ``lam = max(0,
+  -min_eig(C))`` and the top eigenvalue; when no start is given, one step of
+  inverse iteration just above that eigenvalue gives the top eigenvector,
+  whose phases are the spectral start (exactly :func:`spectral_init`). No
+  eigendecomposition of ``C`` is formed;
 * projected power iterations on ``C + lam I`` map ``x`` to the entrywise
   phase of ``(C + lam I) x``; each never decreases the objective
   (majorize-minimize argument). First-order convergence is declared when the
@@ -53,7 +55,8 @@ import numpy as np
 
 from .certificate import (RANK_TOL, CertificateReport, build_certificate, certify,
                           proved_verdict, verdict)
-from .hermitian import EigensolverError, HermitianMatrix, extreme_eigs
+from .hermitian import (EIG_RESIDUAL_TOL, EigensolverError, HermitianMatrix, extreme_eigs,
+                        smallest_eigvals)
 from .manifold import PhaseVector, TangentVector, retract
 
 logger = logging.getLogger(__name__)
@@ -126,14 +129,50 @@ def _round_phases(v: np.ndarray) -> PhaseVector:
     return PhaseVector(np.where(tiny, 1.0 + 0.0j, v / np.where(tiny, 1.0, a)))
 
 
+def _top_vector(data: HermitianMatrix, top: float) -> np.ndarray:
+    # One step of inverse iteration (Parlett, "The Symmetric Eigenvalue
+    # Problem"): solve (C - theta I) v = 1 just above the computed top
+    # eigenvalue, at theta = top + eps ||C||_F, and gate the unit v as
+    # ``extreme_eigs`` gates an eigenpair. The solve amplifies the top
+    # component by about 1 / (theta - top), so a wider offset costs accuracy;
+    # theta = top exactly can meet an exactly singular pivot. When the solve
+    # fails or misses the gate (the all-ones vector orthogonal to the top
+    # eigenvector, say) the dense eigensolve decides.
+    n = data.n
+    scale = max(1.0, float(np.linalg.norm(data.mat)))
+    shifted = data.mat.copy()
+    shifted[np.diag_indices(n)] -= top + np.finfo(float).eps * scale
+    try:
+        v = np.linalg.solve(shifted, np.ones(n, dtype=shifted.dtype))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(data.mat @ v - top * v) <= EIG_RESIDUAL_TOL * n * scale:
+            return v
+    return extreme_eigs(data, 0, 1).vectors[:, 0]
+
+
+def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
+    # The shift max(0, -min_eig(C)) and the top eigenvalue of C, from one
+    # gated values-only solve.
+    vals = smallest_eigvals(data, data.n)
+    return max(0.0, -float(vals[0])), float(vals[-1])
+
+
 def spectral_init(data: HermitianMatrix) -> PhaseVector:
     """Entrywise phases of the leading eigenvector.
 
-    Entries of the eigenvector with modulus below 1e-12 are replaced by 1,
-    since they carry no usable phase information. This is the start
-    :func:`solve_second_order` takes when given none.
+    The eigenvalue comes from one gated ``numpy.linalg.eigvalsh`` and the
+    vector from one step of inverse iteration just above it, which must pass
+    the residual gate of :func:`extreme_eigs`; only when it does not is the
+    vector taken from a dense eigensolve. The global phase is that of the
+    solve, not of LAPACK's eigenvectors. Entries of the eigenvector with
+    modulus below 1e-12 are replaced by 1, since they carry no usable phase
+    information. This is the start :func:`solve_second_order` takes when
+    given none.
     """
-    return _round_phases(extreme_eigs(data, 0, 1).vectors[:, 0])
+    return _round_phases(_top_vector(data, _spectrum(data)[1]))
 
 
 def _certificate(data: HermitianMatrix, point: PhaseVector, a: np.ndarray,
@@ -210,18 +249,26 @@ def solve_second_order(
         raise ValueError("matrix and signal sizes disagree")
 
     n = data.n
+    if n < 2:
+        raise ValueError(f"the verdict needs n >= 2, got a {n} x {n} matrix")
     cmat = data.mat
     tol = opts.grad_tol * n
-    extremes = extreme_eigs(data, 1, 1)
-    shift = max(0.0, -float(extremes.values[0]))
+    shift, top = _spectrum(data)
     if x0 is None:
-        x0 = _round_phases(extremes.vectors[:, 1])
+        x0 = _round_phases(_top_vector(data, top))
 
     cost_z = None
     if signal is not None:
         cost_z = float(np.vdot(signal.vec, cmat @ signal.vec).real)
 
-    x = x0.vec.copy()
+    def work(v):
+        # A copy of the iterate and the arrays its power steps fill in place:
+        # w = C x, xbar, w o xbar, e, y = w + lam x and r = |y|. Allocated
+        # once per starting point (the start, the plant, an escape).
+        v = np.array(v, dtype=np.result_type(cmat, v))
+        return v, *(np.empty_like(v) for _ in range(5)), np.empty(v.shape)
+
+    x, w, xc, wx, e, y, r = work(x0.vec)
     iterations = 0
     escapes = 0
     restarted = False
@@ -229,16 +276,17 @@ def solve_second_order(
     cert = None
 
     while True:
-        w = cmat @ x
+        np.matmul(cmat, x, out=w)
         # e = S x is half the Riemannian gradient of -x* C x, and gn its norm
-        # (numpy's own formula for a vector norm).
-        a = (w * x.conj()).real
-        e = a * x - w
+        # (numpy's own formula for a vector norm); a = Re(w o xbar).
+        np.multiply(w, np.conjugate(x, out=xc), out=wx)
+        a = wx.real
+        np.subtract(np.multiply(a, x, out=e), w, out=e)
         gn = 2.0 * math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
         if gn <= tol:
             cost_x = float(np.vdot(x, w).real)
             if signal is not None and not restarted and cost_x < cost_z:
-                x = signal.vec.copy()
+                x, w, xc, wx, e, y, r = work(signal.vec)
                 restarted = True
                 continue
             if escapes < opts.max_escapes:
@@ -253,7 +301,7 @@ def solve_second_order(
                 if direction is not None:
                     moved = _escape_step(data, point, direction, cost_x)
                     if moved is not None:
-                        x = moved
+                        x, w, xc, wx, e, y, r = work(moved)
                         escapes += 1
                         continue
                     logger.warning("negative curvature found but no ascent step succeeded")
@@ -264,14 +312,14 @@ def solve_second_order(
             break
         if iterations >= opts.max_iters:
             break
-        y = w + shift * x
-        r = np.abs(y)
-        # The guard for entries without a usable phase, only when one exists.
-        if r.min() > PHASE_FLOOR:
-            x = y / r
+        np.add(w, np.multiply(shift, x, out=y), out=y)
+        np.abs(y, out=r)
+        # The guard for entries without a usable phase, only when one exists:
+        # those keep their previous phase.
+        if np.minimum.reduce(r) > PHASE_FLOOR:
+            np.divide(y, r, out=x)
         else:
-            safe = r > PHASE_FLOOR
-            x = np.where(safe, y / np.where(safe, r, 1.0), x)
+            np.divide(y, r, out=x, where=r > PHASE_FLOOR)
         iterations += 1
 
     # Both exits leave w = C x and gn for the final x.

@@ -211,12 +211,13 @@ def _digest(mat):
 def _watch_eigensolves(monkeypatch, fail=()):
     """Wrap ``numpy.linalg.eigh`` and ``numpy.linalg.eigvalsh``: log
     ``(name, digest)`` for every matrix either is given, and fail with
-    LinAlgError in the ones named in ``fail``. Returns the log."""
+    LinAlgError on the matrices whose digests are in ``fail``. Returns the
+    log."""
     log = []
     for name in ("eigh", "eigvalsh"):
         def watched(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
             log.append((_name, _digest(a)))
-            if _name in fail:
+            if _digest(a) in fail:
                 raise np.linalg.LinAlgError("injected failure")
             return _solve(a, *args, **kwargs)
 
@@ -245,14 +246,36 @@ class TestEigensolves:
     # The noise-norm event is decided by Cholesky factorizations, so W is
     # never decomposed, and so is a verdict where a factorization proves it;
     # otherwise a verdict reads eigenvalues only, so S gets a values-only
-    # solve.
+    # solve. C gets one values-only solve too: the spectral start comes from
+    # a linear solve.
     def test_unique_complex_trial_decomposes_c_only(self, monkeypatch):
         n, sigma, seed = 12, 0.3, 5
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
         assert rec.unique and rep.escapes == 0
         log = _watch_eigensolves(monkeypatch)
         again = run_trial(n, sigma, seed)
-        assert log == [("eigh", _digest(inst.C.mat))]
+        assert log == [("eigvalsh", _digest(inst.C.mat))]
+        assert trial_csv_row(again) == trial_csv_row(rec)
+
+    def test_unique_complex_trial_runs_no_eigh(self, monkeypatch):
+        # No eigenvector of C is computed by an eigensolver: the shift and
+        # the top eigenvalue come from one eigvalsh, the spectral start from
+        # one linear solve, and the verdict from a factorization.
+        n, sigma, seed = 100, 1.0, 2
+        rec, inst, rep = run_trial_detailed(n, sigma, seed)
+        assert rec.unique and rep.escapes == 0
+        log = _watch_eigensolves(monkeypatch)
+        solves = []
+        solve = np.linalg.solve
+
+        def watched(a, b, *args, **kwargs):
+            solves.append(a.shape)
+            return solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", watched)
+        again = run_trial(n, sigma, seed)
+        assert log == [("eigvalsh", _digest(inst.C.mat))]
+        assert solves == [(n, n)]
         assert trial_csv_row(again) == trial_csv_row(rec)
 
     def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
@@ -264,7 +287,7 @@ class TestEigensolves:
         s = build_certificate(inst.C, rep.x)
         log = _watch_eigensolves(monkeypatch)
         again = run_trial(n, sigma, seed)
-        assert log == [("eigh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
+        assert log == [("eigvalsh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
         assert trial_csv_row(again) == trial_csv_row(rec)
 
     def test_unique_real_trial_runs_no_eigensolve(self, monkeypatch):
@@ -284,12 +307,14 @@ class TestEigensolves:
         assert log == [("eigvalsh", _digest(s.mat))]
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
-        # C decomposes; the proof's factorization and then the certificate's
-        # values-only solve fail. The trial reports the failure as not tight
-        # instead of raising.
+        # C gets its values-only solve; the proof's factorization and then
+        # the values-only solve of the certificate S fail. The trial reports the failure as
+        # not tight instead of raising.
         n, sigma, seed = 12, 0.3, 5
+        _, inst, plain = run_trial_detailed(n, sigma, seed)
+        s = build_certificate(inst.C, plain.x)
         injected = _fail_proof(monkeypatch)
-        _watch_eigensolves(monkeypatch, fail={"eigvalsh"})
+        _watch_eigensolves(monkeypatch, fail={_digest(s.mat)})
         rec = run_trial(n, sigma, seed)
         assert injected == [(n, n)]
         assert not rec.tight and not rec.unique
@@ -345,14 +370,14 @@ class TestPlantedProof:
                     sigma = factor * math.sqrt(n) / 3.0
                     log = _watch_eigensolves(monkeypatch)
                     rec, inst, rep = run_trial_detailed(n, sigma, seed)
-                    factored = "eigvalsh" not in (name for name, _ in log)
                     monkeypatch.undo()
+                    s = build_certificate(inst.C, rep.x)
+                    factored = ("eigvalsh", _digest(s.mat)) not in log
                     ref = certify(inst.C, rep.x)
                     assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
                     unique.add(rec.unique)
                     proved.add(factored)
                     if factored:
-                        s = build_certificate(inst.C, rep.x)
                         slack = n * np.finfo(float).eps * np.linalg.norm(s.mat)
                         assert rec.unique
                         assert rec.second_eig_S <= ref.second_eig + slack

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from phasesync import solver
 from phasesync.certificate import build_certificate, certify, verdict
-from phasesync.hermitian import EigensolverError, HermitianMatrix, extreme_eigs, quad_form
+from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs, quad_form,
+                                 smallest_eigvals)
 from phasesync.manifold import TangentVector, align_global_phase, hessian_vec
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import (ESCAPE_TOL, SolverOptions, _negative_curvature,
@@ -69,7 +70,81 @@ class TestOptions:
             SolverOptions(max_escapes=-1)
 
 
+def _watch(monkeypatch, name):
+    # Record the shape of every matrix numpy.linalg.<name> is given.
+    calls = []
+    fn = getattr(np.linalg, name)
+
+    def watched(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, watched)
+    return calls
+
+
+def _eigh_start(data):
+    # The spectral start from a dense eigendecomposition.
+    return solver._round_phases(np.linalg.eigh(data.mat)[1][:, -1])
+
+
 class TestSpectralInit:
+    @pytest.mark.parametrize("n, sigma, seed", [(10, 0.5, 1), (50, 2.0, 4), (200, 1.0, 3),
+                                                (200, 15.0, 8), (400, 25.0, 2)])
+    def test_matches_the_eigh_start_up_to_global_phase(self, monkeypatch, n, sigma, seed):
+        # A nondegenerate C: one values-only solve and one linear solve give
+        # eigh's start, rotated by a global phase, and nothing else runs.
+        inst = _instance(n, sigma, seed)
+        ref = _eigh_start(inst.C)
+        eigh, eigvalsh, solve = (_watch(monkeypatch, name) for name in ("eigh", "eigvalsh", "solve"))
+        x0 = spectral_init(inst.C)
+        assert (eigh, eigvalsh, solve) == ([], [(n, n)], [(n, n)])
+        monkeypatch.undo()
+        assert np.abs(align_global_phase(x0, ref).vec - ref.vec).max() <= 1e-10
+
+    def test_noiseless_top_eigenvalue_is_not_taken_exactly(self, monkeypatch):
+        # sigma = 0: C = z z* and C - n I is singular. The solve runs just
+        # above the computed top eigenvalue, so it meets no singular pivot,
+        # and the start is z up to a global phase.
+        n = 50
+        inst = _instance(n, 0.0, 6)
+        eigh = _watch(monkeypatch, "eigh")
+        x0 = spectral_init(inst.C)
+        assert eigh == []
+        assert np.abs(align_global_phase(x0, inst.z).vec - inst.z.vec).max() <= 1e-10
+
+    def test_ones_orthogonal_to_the_top_eigenvector(self, monkeypatch):
+        # n = 2, z = (1, -1), sigma = 0: C = [[1, -1], [-1, 1]] and the
+        # all-ones right-hand side is its bottom eigenvector. That solve misses
+        # the residual gate and the dense eigensolve decides instead.
+        z = PhaseVector(np.array([1.0 + 0j, -1.0 + 0j]))
+        inst = assemble_instance(z, sample_wigner(2, 0), 0.0, 0)
+        eigh = _watch(monkeypatch, "eigh")
+        x0 = spectral_init(inst.C)
+        assert eigh == [(2, 2)]
+        monkeypatch.undo()
+        assert np.abs(align_global_phase(x0, z).vec - z.vec).max() <= 1e-12
+        rep = solve_second_order(inst.C, None, signal=z)
+        assert rep.converged and rep.cost == pytest.approx(4.0, abs=1e-12)
+        assert rep.certificate.tight and rep.certificate.unique
+
+    def test_degenerate_top_eigenvalue(self, monkeypatch):
+        # C = I: every unit vector is a top eigenvector, so the solve's own
+        # vector passes the gate and its phases are the start.
+        n = 6
+        data = HermitianMatrix(np.eye(n, dtype=complex))
+        eigh = _watch(monkeypatch, "eigh")
+        x0 = spectral_init(data)
+        assert eigh == []
+        assert np.allclose(x0.vec, x0.vec[0], rtol=0.0, atol=1e-15)
+
+    def test_one_by_one_is_rejected_before_any_solve(self, monkeypatch):
+        data = HermitianMatrix(np.array([[1.0 + 0j]]))
+        calls = [_watch(monkeypatch, name) for name in ("eigh", "eigvalsh", "solve")]
+        with pytest.raises(ValueError):
+            solve_second_order(data)
+        assert calls == [[], [], []]
+
     def test_unit_modulus_output(self):
         inst = _instance(40, 1.0, 5)
         x0 = spectral_init(inst.C)
@@ -136,12 +211,14 @@ class TestModerateNoise:
 
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     def test_iterates_match_the_plain_power_loop_bit_for_bit(self, sigma):
-        # The loop reuses its half gradient and skips the small-modulus guard
-        # when no entry needs it; neither may change a bit of any iterate.
+        # The loop reuses its half gradient, fills preallocated arrays in
+        # place and skips the small-modulus guard when no entry needs it;
+        # none of this may change a bit of any iterate. The shift comes from
+        # the solver's own values-only solve of C.
         n = 30
         inst = _instance(n, sigma, 17)
         x0 = spectral_init(inst.C)
-        shift = max(0.0, -float(extreme_eigs(inst.C, 1, 1).values[0]))
+        shift = max(0.0, -float(smallest_eigvals(inst.C, 1)[0]))
         for budget in (1, 7, 40):
             rep = solve_second_order(inst.C, x0, opts=SolverOptions(grad_tol=1e-300,
                                                                     max_iters=budget))
@@ -149,6 +226,23 @@ class TestModerateNoise:
             assert rep.iterations == budget
             assert rep.x.vec.tobytes() == x.tobytes()
             assert rep.grad_norm == grad_norm
+
+    def test_guarded_step_matches_the_plain_power_loop_bit_for_bit(self):
+        # min_eig(C) = 0 and (C x)_1 = 0, so the first step leaves x_1 at its
+        # previous phase through the small-modulus guard; the gradient is
+        # not zero, so the step runs.
+        data = HermitianMatrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+                                        dtype=complex))
+        x0 = PhaseVector(np.array([1.0, 1.0, 1.0j]))
+        shift = max(0.0, -float(smallest_eigvals(data, 1)[0]))
+        assert abs((data.mat @ x0.vec)[0] + shift) <= 1e-14
+        for budget in (1, 5):
+            rep = solve_second_order(data, x0, opts=SolverOptions(grad_tol=1e-300,
+                                                                  max_iters=budget))
+            x, grad_norm = power_iterates(data.mat, x0.vec, shift, budget)
+            assert rep.x.vec.tobytes() == x.tobytes()
+            assert rep.grad_norm == grad_norm
+        assert solve_second_order(data, x0, opts=SolverOptions(max_iters=1)).x.vec[0] == 1.0
 
     def test_monotone_cost_across_budgets(self):
         # The power iteration never decreases the objective, so cost as a
@@ -324,7 +418,8 @@ def _assert_proved_like_certify(data, rep):
 
 
 class TestSharedDecompositions:
-    """The solver decomposes C once for its shift and its spectral start. At a
+    """The solver takes its shift and its spectral start from one values-only
+    solve of C and one linear solve, without decomposing C. At a
     first-order point a Cholesky factorization proves the verdict where it
     can; otherwise the certificate S gets one values-only solve for its
     verdict and escape test, and an eigenvector solve only to escape. A run
