@@ -20,7 +20,7 @@ order and of how many worker processes execute them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class PhaseVector:
         if v.ndim != 1 or v.size == 0:
             raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
         drift = float(np.max(np.abs(np.abs(v) - 1.0)))
-        if drift > UNIT_MODULUS_ATOL:
+        if not drift <= UNIT_MODULUS_ATOL:
             raise ValueError(f"entries are not unit modulus: max deviation {drift:.3e}")
         v = v.copy()
         v.setflags(write=False)
@@ -75,36 +75,36 @@ class PhaseVector:
 
 @dataclass(frozen=True)
 class SyncInstance:
-    """Planted problem bundle: signal, noise, data matrix, provenance seed.
+    """Planted problem: signal ``z``, noise level ``sigma``, noise ``W`` and
+    provenance seed.
 
-    Invariants checked at construction: shapes agree, ``sigma >= 0``, ``W``
-    has an exactly zero diagonal, ``C`` has an exactly unit diagonal, and the
-    off-diagonal of ``C`` equals ``z z* + sigma W`` entrywise to 1e-12
-    (relative to the largest entry).
+    The data matrix ``C = z z* + sigma W``, with its diagonal set to exactly
+    1, is derived here and nowhere else: it cannot be passed in, so an
+    instance whose ``C`` disagrees with its parts cannot exist. Checked at
+    construction: ``W`` has the size of ``z`` and an exactly zero diagonal,
+    and ``sigma >= 0``.
     """
 
-    n: int
     z: PhaseVector
     sigma: float
     W: HermitianMatrix
-    C: HermitianMatrix
     seed: int
+    C: HermitianMatrix = field(init=False)
 
     def __post_init__(self):
-        if self.n != self.z.n or self.W.n != self.n or self.C.n != self.n:
-            raise ValueError("instance component sizes disagree")
-        if self.sigma < 0.0:
+        if self.W.n != self.z.n:
+            raise ValueError("signal and noise sizes disagree")
+        if not self.sigma >= 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if np.any(np.diag(self.W.mat) != 0.0):
             raise ValueError("noise matrix must have a zero diagonal")
-        if np.any(np.diag(self.C.mat) != 1.0):
-            raise ValueError("data matrix must have a unit diagonal")
-        expect = np.outer(self.z.vec, self.z.vec.conj()) + self.sigma * self.W.mat
-        np.fill_diagonal(expect, 1.0)
-        scale = max(1.0, float(np.max(np.abs(self.C.mat))))
-        gap = float(np.max(np.abs(self.C.mat - expect)))
-        if gap > 1e-12 * scale:
-            raise ValueError(f"data matrix does not match z z* + sigma W: gap {gap:.3e}")
+        c = np.outer(self.z.vec, self.z.vec.conj()) + self.sigma * self.W.mat
+        np.fill_diagonal(c, 1.0)
+        object.__setattr__(self, "C", HermitianMatrix(c))
+
+    @property
+    def n(self) -> int:
+        return self.z.n
 
 
 @dataclass(frozen=True)
@@ -161,17 +161,8 @@ def sample_wigner(n: int, seed: int) -> HermitianMatrix:
 
 
 def assemble_instance(signal: PhaseVector, noise: HermitianMatrix, sigma: float, seed: int) -> SyncInstance:
-    """Build ``C = z z* + sigma W`` with the diagonal forced to exactly 1."""
-    if noise.n != signal.n:
-        raise ValueError("signal and noise sizes disagree")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    c = np.outer(signal.vec, signal.vec.conj()) + sigma * noise.mat
-    np.fill_diagonal(c, 1.0)
-    return SyncInstance(
-        n=signal.n, z=signal, sigma=float(sigma),
-        W=noise, C=HermitianMatrix(c), seed=seed,
-    )
+    """The instance with data matrix ``C = z z* + sigma W``, diagonal exactly 1."""
+    return SyncInstance(z=signal, sigma=float(sigma), W=noise, seed=seed)
 
 
 def is_discordant(

@@ -2,13 +2,14 @@
 
 All floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so a load of a dump reproduces the original bit for bit.
+Complex entries are written as their real part, then their imaginary part.
 
-Phase vector file: first line is n, then one line of 2n decimals, the real
-and imaginary part of every entry. Instance bundle: header lines ``n``,
-``sigma``, ``seed``, a ``z`` line with the signal, then a ``W`` marker
-followed by a matrix block, then a ``C`` marker and its block. A matrix
-block is a size line n and n rows in the phase vector's line format.
-Instance invariants are re-validated on load.
+Phase vector file: first line is n, then one line of 2n decimals. Instance
+file: five lines, the marker ``phasesync-instance 2``, then ``sigma``,
+``seed``, ``z`` (2n decimals) and ``W`` (n(n-1) decimals: the entries above
+the diagonal, row by row). ``W`` is rebuilt Hermitian with a zero diagonal,
+and ``C`` is derived from the loaded parts, never stored. A file without the
+marker on its first line, truncated, or with trailing content is rejected.
 """
 
 from __future__ import annotations
@@ -18,37 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from .hermitian import HermitianMatrix
-from .model import PhaseVector, SyncInstance
+from .model import PhaseVector, SyncInstance, assemble_instance
+
+INSTANCE_MARKER = "phasesync-instance 2"
 
 
 def _fmt_row(row: np.ndarray) -> str:
     return " ".join(map("{:.17g}".format, np.asarray(row, dtype=np.complex128).view(np.float64).tolist()))
 
 
-def _parse_complex_row(line: str, n: int, where: str) -> np.ndarray:
-    toks = line.split()
-    if len(toks) != 2 * n:
-        raise ValueError(f"{where}: expected {2 * n} decimals, got {len(toks)}")
+def _parse_complex_row(line: str, where: str) -> np.ndarray:
     try:
-        vals = np.array([float(t) for t in toks], dtype=np.float64)
+        vals = np.array(line.split(), dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    return vals[0::2] + 1j * vals[1::2]
-
-
-def _read_matrix_lines(lines: list[str], start: int, where: str) -> tuple[HermitianMatrix, int]:
-    if start >= len(lines):
-        raise ValueError(f"{where}: missing size line")
-    try:
-        n = int(lines[start].strip())
-    except ValueError as exc:
-        raise ValueError(f"{where}: bad size line {lines[start]!r}") from exc
-    if n < 1:
-        raise ValueError(f"{where}: size must be positive, got {n}")
-    if start + 1 + n > len(lines):
-        raise ValueError(f"{where}: expected {n} rows, file ends early")
-    rows = [_parse_complex_row(lines[start + 1 + i], n, f"{where} row {i}") for i in range(n)]
-    return HermitianMatrix(np.vstack(rows)), start + 1 + n
+    if vals.size % 2:
+        raise ValueError(f"{where}: expected real and imaginary parts, got {vals.size} decimals")
+    return vals.view(np.complex128)
 
 
 def write_phase_vector(x: PhaseVector, path) -> None:
@@ -63,49 +50,48 @@ def read_phase_vector(path) -> PhaseVector:
         n = int(lines[0].strip())
     except ValueError as exc:
         raise ValueError(f"{path}: bad size line {lines[0]!r}") from exc
-    return PhaseVector(_parse_complex_row(lines[1], n, str(path)))
+    vec = _parse_complex_row(lines[1], str(path))
+    if vec.size != n:
+        raise ValueError(f"{path}: expected {2 * n} decimals, got {2 * vec.size}")
+    return PhaseVector(vec)
 
 
 def write_instance(inst: SyncInstance, path) -> None:
+    upper = inst.W.mat[np.triu_indices(inst.n, k=1)]
     lines = [
-        f"n {inst.n}",
+        INSTANCE_MARKER,
         f"sigma {inst.sigma:.17g}",
         f"seed {inst.seed}",
         f"z {_fmt_row(inst.z.vec)}",
-        "W",
-        str(inst.n),
+        f"W {_fmt_row(upper)}",
     ]
-    for i in range(inst.n):
-        lines.append(_fmt_row(inst.W.mat[i]))
-    lines.append("C")
-    lines.append(str(inst.n))
-    for i in range(inst.n):
-        lines.append(_fmt_row(inst.C.mat[i]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_instance(path) -> SyncInstance:
     lines = Path(path).read_text().splitlines()
     where = str(path)
+    if not lines or lines[0].strip() != INSTANCE_MARKER:
+        raise ValueError(f"{where}: first line is not {INSTANCE_MARKER!r}; "
+                         "files of any other layout are not read")
 
     def expect_kv(idx: int, key: str) -> str:
         if idx >= len(lines):
-            raise ValueError(f"{where}: missing {key!r} line")
+            raise ValueError(f"{where}: file ends early, missing {key!r} line")
         parts = lines[idx].split(maxsplit=1)
-        if len(parts) != 2 or parts[0] != key:
+        if not parts or parts[0] != key:
             raise ValueError(f"{where}: expected {key!r} line, got {lines[idx]!r}")
-        return parts[1]
+        return parts[1] if len(parts) == 2 else ""
 
-    n = int(expect_kv(0, "n"))
     sigma = float(expect_kv(1, "sigma"))
     seed = int(expect_kv(2, "seed"))
-    z = PhaseVector(_parse_complex_row(expect_kv(3, "z"), n, f"{where} z"))
-    if len(lines) <= 4 or lines[4].strip() != "W":
-        raise ValueError(f"{where}: expected 'W' marker after the z line")
-    w, used = _read_matrix_lines(lines, 5, f"{where} W")
-    if used >= len(lines) or lines[used].strip() != "C":
-        raise ValueError(f"{where}: expected 'C' marker after noise rows")
-    c, used = _read_matrix_lines(lines, used + 1, f"{where} C")
-    if any(line.strip() for line in lines[used:]):
-        raise ValueError(f"{where}: trailing content after data rows")
-    return SyncInstance(n=n, z=z, sigma=sigma, W=w, C=c, seed=seed)
+    z = PhaseVector(_parse_complex_row(expect_kv(3, "z"), f"{where} z"))
+    upper = _parse_complex_row(expect_kv(4, "W"), f"{where} W")
+    n = z.n
+    if upper.size != n * (n - 1) // 2:
+        raise ValueError(f"{where} W: expected {n * (n - 1)} decimals for n = {n}, got {2 * upper.size}")
+    if any(line.strip() for line in lines[5:]):
+        raise ValueError(f"{where}: trailing content after the W line")
+    w = np.zeros((n, n), dtype=np.complex128)
+    w[np.triu_indices(n, k=1)] = upper
+    return assemble_instance(z, HermitianMatrix(w + w.conj().T), sigma, seed)

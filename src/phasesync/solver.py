@@ -90,8 +90,8 @@ class SolverOptions:
     max_escapes: int = 5
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.max_escapes < 0:

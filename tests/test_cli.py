@@ -12,12 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasesync
 from phasesync.cli import main
 from phasesync.experiment import TRIAL_COLUMNS
-from phasesync.serialize import read_instance, read_phase_vector
+from phasesync.model import PhaseVector
+from phasesync.serialize import read_instance, read_phase_vector, write_phase_vector
 
 from test_serialize import poison_instance_file
 
@@ -66,6 +68,14 @@ class TestSolve:
         assert inst.n == 12
         assert x.n == 12
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_grad_tol_rejected(self, capsys, bad):
+        code, out, err = run_cli(capsys, "solve", "--n", "8", "--sigma", "0.3", "--seed", "1",
+                                 "--grad-tol", bad)
+        assert code == 1
+        assert not out
+        assert "grad_tol" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "solve", "--n", "16", "--sigma", "0.5", "--seed", "7")
         _, out2, _ = run_cli(capsys, "solve", "--n", "16", "--sigma", "0.5", "--seed", "7")
@@ -97,7 +107,6 @@ class TestCertify:
         run_cli(capsys, "solve", "--n", "20", "--sigma", "0.8", "--seed", "4",
                 "--dump-instance", str(inst_path), "--dump-x", str(x_path))
         inst = read_instance(inst_path)
-        from phasesync.serialize import write_phase_vector
         write_phase_vector(inst.z, x_path)
         code, out, _ = run_cli(capsys, "certify", "--instance", str(inst_path),
                                "--x", str(x_path))
@@ -143,7 +152,36 @@ print(json.dumps([codes, loaded]))
         code, _, err = run_cli(capsys, "certify", "--instance", str(inst_path),
                                "--x", str(x_path))
         assert code == 1
-        assert "'W' marker" in err
+        assert "missing 'W' line" in err
+
+    def test_previous_layout_clean_exit(self, capsys, tmp_path):
+        # The layout that stored C beside W: a size header and matrix blocks.
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        write_phase_vector(PhaseVector(np.ones(2)), x_path)
+        blocks = ["W", "2", "0 0 1 0", "1 0 0 0", "C", "2", "1 0 1 0", "1 0 1 0"]
+        inst_path.write_text("\n".join(["n 2", "sigma 1", "seed 0", "z 1 0 1 0"] + blocks) + "\n")
+        code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
+                                 "--x", str(x_path))
+        assert code == 1
+        assert not out
+        assert "phasesync-instance 2" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_estimate_clean_exit(self, capsys, tmp_path, bad):
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        run_cli(capsys, "solve", "--n", "6", "--sigma", "0.3", "--seed", "2",
+                "--dump-instance", str(inst_path), "--dump-x", str(x_path))
+        lines = x_path.read_text().splitlines()
+        toks = lines[1].split()
+        toks[2] = bad
+        x_path.write_text(lines[0] + "\n" + " ".join(toks) + "\n")
+        code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
+                                 "--x", str(x_path))
+        assert code == 1
+        assert not out
+        assert "unit modulus" in err
 
     def test_non_finite_instance_clean_exit(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.txt"
@@ -228,6 +266,17 @@ out = {out}
         code, stdout, err = run_cli(capsys, "real-grid", "--config", str(cfg))
         assert code == 1
         assert "finite" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_grad_tol_rejected_before_any_trial(self, capsys, tmp_path, bad):
+        out = tmp_path / "g.csv"
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(self.CFG.format(case="complex", out=out) + f"grad_tol = {bad}\n")
+        code, stdout, err = run_cli(capsys, "grid", "--config", str(cfg))
+        assert code == 1
+        assert "grad_tol" in err
         assert stdout == ""
         assert not out.exists()
 

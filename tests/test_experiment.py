@@ -127,6 +127,12 @@ out = g.csv
         with pytest.raises(ConfigError):
             parse_grid_config(_write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_grad_tol_rejected(self, tmp_path, bad):
+        text = BASE_CFG.format(out="g.csv") + f"grad_tol = {bad}\n"
+        with pytest.raises(ConfigError, match="grad_tol"):
+            parse_grid_config(_write_config(tmp_path, text))
+
     def test_comment_and_blank_lines_ignored(self, tmp_path):
         text = "\n# header\n\n" + BASE_CFG.format(out="g.csv") + "\n# trailing\n"
         cfg = parse_grid_config(_write_config(tmp_path, text))

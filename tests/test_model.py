@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasesync.hermitian import HermitianMatrix
 from phasesync.model import (PhaseVector, SyncInstance, assemble_instance,
                              is_discordant, noise_tail_stats, philox_stream,
                              random_signal, sample_wigner, trial_seed)
@@ -53,6 +54,13 @@ class TestPhaseVector:
         assert PhaseVector([1, -1]).vec.dtype == np.float64
         assert PhaseVector(np.array([1.0, -1.0], dtype=complex)).vec.dtype == np.complex128
         assert PhaseVector(np.exp(1j * np.linspace(0, 5, 7))).vec.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseVector([1.0, bad])
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseVector(np.array([1.0, complex(bad, 0.0)]))
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
@@ -132,16 +140,30 @@ class TestAssembleInstance:
         with pytest.raises(ValueError):
             assemble_instance(random_signal(5, 0), sample_wigner(6, 0), 1.0, 0)
 
-    def test_instance_validation_catches_tampering(self):
+    def test_data_matrix_cannot_be_passed_in(self):
         z = random_signal(6, 1)
         w = sample_wigner(6, 1)
         inst = assemble_instance(z, w, 1.0, 1)
-        bad = np.array(inst.C.mat)
-        bad[0, 1] += 1e-6
-        bad[1, 0] += 1e-6
-        from phasesync.hermitian import HermitianMatrix
-        with pytest.raises(ValueError, match="does not match"):
-            SyncInstance(n=6, z=z, sigma=1.0, W=w, C=HermitianMatrix(bad), seed=1)
+        with pytest.raises(TypeError):
+            SyncInstance(z=z, sigma=1.0, W=w, seed=1, C=inst.C)
+
+    def test_constructor_derives_the_same_data_matrix(self):
+        z = random_signal(9, 4)
+        w = sample_wigner(9, 4)
+        inst = SyncInstance(z=z, sigma=0.8, W=w, seed=4)
+        assert inst.n == 9
+        assert np.array_equal(inst.C.mat, assemble_instance(z, w, 0.8, 4).C.mat)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    def test_constructor_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            SyncInstance(z=random_signal(5, 0), sigma=sigma, W=sample_wigner(5, 0), seed=0)
+
+    def test_rejects_nonzero_noise_diagonal(self):
+        w = np.array(sample_wigner(5, 0).mat)
+        w[2, 2] = 0.5
+        with pytest.raises(ValueError, match="zero diagonal"):
+            assemble_instance(random_signal(5, 0), HermitianMatrix(w), 1.0, 0)
 
     @given(st.integers(0, 2**31 - 1))
     def test_sigma_zero_is_rank_one_plus_identity_diag(self, seed):

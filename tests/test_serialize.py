@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.serialize import (_fmt_row, read_instance, read_phase_vector, write_instance,
-                                 write_phase_vector)
+from phasesync.hermitian import HermitianMatrix
+from phasesync.model import (PhaseVector, SyncInstance, assemble_instance, random_signal,
+                             sample_wigner)
+from phasesync.serialize import (INSTANCE_MARKER, _fmt_row, _parse_complex_row, read_instance,
+                                 read_phase_vector, write_instance, write_phase_vector)
 
 
 def _instance(n, sigma, seed):
@@ -25,6 +27,11 @@ class TestRowFormat:
         want = " ".join(f"{part:.17g}" for v in row for part in (v.real, v.imag))
         assert _fmt_row(row) == want
 
+    def test_parser_round_trips_every_bit(self):
+        row = np.array([complex(5e-324, -0.0), complex(-0.0, 1e300), complex(0.1, -2.5e-300)])
+        back = _parse_complex_row(_fmt_row(row), "row")
+        assert back.tobytes() == row.tobytes()
+
     def test_real_phase_vector_file(self, tmp_path):
         path = tmp_path / "x.txt"
         write_phase_vector(PhaseVector(np.array([1.0, -1.0, -1.0])), path)
@@ -33,7 +40,7 @@ class TestRowFormat:
 
 
 class TestMatrixRoundTrip:
-    """The W and C matrix blocks of an instance file."""
+    """The W line of an instance file, and the C derived from it on load."""
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=10)
@@ -46,11 +53,13 @@ class TestMatrixRoundTrip:
         assert np.array_equal(back.C.mat, inst.C.mat)
 
     def test_rejects_truncated(self, tmp_path):
+        # Cut inside the W line; a file cut before it is TestInstanceRoundTrip's.
         path = tmp_path / "inst.txt"
         write_instance(_instance(4, 0.3, 0), path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="ends early"):
+        lines[-1] = lines[-1].rsplit(" ", 2)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected 12 decimals for n = 4, got 10"):
             read_instance(path)
 
     def test_rejects_trailing_garbage(self, tmp_path):
@@ -59,18 +68,6 @@ class TestMatrixRoundTrip:
         with open(path, "a") as fh:
             fh.write("0.0 0.0\n")
         with pytest.raises(ValueError, match="trailing"):
-            read_instance(path)
-
-    def test_rejects_non_hermitian_content(self, tmp_path):
-        path = tmp_path / "inst.txt"
-        write_instance(_instance(2, 0.5, 2), path)
-        lines = path.read_text().splitlines()
-        w_row = lines.index("W") + 2
-        row = lines[w_row].split()
-        row[2] = "5.0"
-        lines[w_row] = " ".join(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="Hermitian"):
             read_instance(path)
 
 
@@ -112,20 +109,16 @@ class TestInstanceRoundTrip:
         assert back.sigma == 0.0
         assert np.array_equal(back.C.mat, inst.C.mat)
 
-    def test_tampered_diag_rejected(self, tmp_path):
-        inst = _instance(4, 0.3, 8)
+    def test_one_entry_instance(self, tmp_path):
+        # n = 1 leaves the W line without numbers.
+        inst = SyncInstance(z=PhaseVector(np.array([1j])), sigma=0.5,
+                            W=HermitianMatrix(np.zeros((1, 1), dtype=complex)), seed=4)
         path = tmp_path / "inst.txt"
         write_instance(inst, path)
-        text = path.read_text()
-        # C diagonal entries serialize as exactly 1; corrupt one of them.
-        lines = text.splitlines()
-        c_start = lines.index("C") + 2
-        row = lines[c_start].split()
-        row[0] = "1.5"
-        lines[c_start] = " ".join(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            read_instance(path)
+        back = read_instance(path)
+        assert (back.n, back.sigma, back.seed) == (1, 0.5, 4)
+        assert np.array_equal(back.z.vec, inst.z.vec)
+        assert np.array_equal(back.C.mat, [[1.0]])
 
     def test_truncated_after_z_rejected(self, tmp_path):
         inst = _instance(4, 0.3, 11)
@@ -133,7 +126,7 @@ class TestInstanceRoundTrip:
         write_instance(inst, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:4]) + "\n")
-        with pytest.raises(ValueError, match="'W' marker"):
+        with pytest.raises(ValueError, match="ends early, missing 'W' line"):
             read_instance(path)
 
     def test_missing_section_rejected(self, tmp_path):
@@ -141,9 +134,9 @@ class TestInstanceRoundTrip:
         path = tmp_path / "inst.txt"
         write_instance(inst, path)
         lines = path.read_text().splitlines()
-        cut = lines.index("C")
-        path.write_text("\n".join(lines[:cut]) + "\n")
-        with pytest.raises(ValueError):
+        del lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected 'seed' line"):
             read_instance(path)
 
     def test_non_finite_entries_rejected(self, tmp_path):
@@ -154,42 +147,67 @@ class TestInstanceRoundTrip:
         with pytest.raises(ValueError, match="NaN or infinite"):
             read_instance(path)
 
-    def test_inconsistent_noise_rejected(self, tmp_path):
-        # Swap in a fresh W without updating C; the C = zz* + sigma W glue
-        # check in the instance constructor has to notice.
-        inst = _instance(4, 0.6, 10)
-        other = sample_wigner(4, 999)
+    def test_off_modulus_signal_rejected(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        write_instance(_instance(4, 0.3, 12), path)
+        lines = path.read_text().splitlines()
+        toks = lines[3].split()
+        toks[1] = "0.5"
+        lines[3] = " ".join(toks)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="unit modulus"):
+            read_instance(path)
+
+
+class TestInstanceLayout:
+    def test_dump_is_five_lines(self, tmp_path):
+        n = 6
+        inst = _instance(n, 0.4, 3)
         path = tmp_path / "inst.txt"
         write_instance(inst, path)
-        text = path.read_text()
-        w_block_old = _matrix_block(inst.W)
-        w_block_new = _matrix_block(other)
-        assert w_block_old in text
-        path.write_text(text.replace(w_block_old, w_block_new))
-        with pytest.raises(ValueError):
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[0] == INSTANCE_MARKER == "phasesync-instance 2"
+        assert lines[1:3] == ["sigma 0.40000000000000002", "seed 3"]
+        assert [ln.split()[0] for ln in lines[3:]] == ["z", "W"]
+        assert len(lines[3].split()) == 1 + 2 * n
+        assert len(lines[4].split()) == 1 + n * (n - 1)
+
+    def test_w_line_is_the_upper_triangle_row_by_row(self, tmp_path):
+        inst = _instance(4, 0.4, 5)
+        path = tmp_path / "inst.txt"
+        write_instance(inst, path)
+        w = inst.W.mat
+        upper = [w[0, 1], w[0, 2], w[0, 3], w[1, 2], w[1, 3], w[2, 3]]
+        assert path.read_text().splitlines()[4] == "W " + _fmt_row(np.array(upper))
+
+    def test_previous_layout_rejected(self, tmp_path):
+        # The layout that stored C beside W, written out by hand.
+        inst = _instance(4, 0.3, 2)
+        blocks = []
+        for name, h in (("W", inst.W), ("C", inst.C)):
+            blocks += [name, "4"] + [_fmt_row(row) for row in h.mat]
+        path = tmp_path / "inst.txt"
+        path.write_text("\n".join(["n 4", "sigma 0.29999999999999999", "seed 2",
+                                   "z " + _fmt_row(inst.z.vec)] + blocks) + "\n")
+        with pytest.raises(ValueError, match=INSTANCE_MARKER):
+            read_instance(path)
+
+    def test_other_version_rejected(self, tmp_path):
+        path = tmp_path / "inst.txt"
+        write_instance(_instance(3, 0.3, 1), path)
+        path.write_text(path.read_text().replace(INSTANCE_MARKER, "phasesync-instance 3", 1))
+        with pytest.raises(ValueError, match=INSTANCE_MARKER):
             read_instance(path)
 
 
 def poison_instance_file(path):
-    """Overwrite the (0, 1) and (1, 0) entries of W and of C in an instance
-    file with NaN. The pairs stay symmetric and C still matches
-    ``z z* + sigma W`` as far as NaN comparisons can tell."""
+    """Overwrite the real part of W[0, 1] in an instance file with NaN. The
+    loaded W keeps a NaN pair, which stays Hermitian as far as NaN
+    comparisons can tell."""
     lines = path.read_text().splitlines()
-    for marker in ("W", "C"):
-        top = lines.index(marker) + 2
-        for row, col in ((0, 1), (1, 0)):
-            toks = lines[top + row].split()
-            toks[2 * col] = "nan"
-            lines[top + row] = " ".join(toks)
+    toks = lines[4].split()
+    assert toks[0] == "W"
+    toks[1] = "nan"
+    lines[4] = " ".join(toks)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _matrix_block(h):
-    rows = []
-    for row in h.mat:
-        parts = []
-        for entry in row:
-            parts.append("%.17g" % entry.real)
-            parts.append("%.17g" % entry.imag)
-        rows.append(" ".join(parts))
-    return "\n".join(rows)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,11 @@ class TestOptions:
             SolverOptions(max_iters=0)
         with pytest.raises(ValueError):
             SolverOptions(max_escapes=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grad_tol_rejected(self, bad):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverOptions(grad_tol=bad)
 
 
 def _watch(monkeypatch, name):
