@@ -15,6 +15,12 @@ rounding of a threaded BLAS call depends on its thread count and so on the
 core count. Per-trial wall time is measured and kept on the in-memory record
 for interactive use, but excluded from the CSV for exactly that reason.
 
+Memory: on glibc a grid process (the caller of :func:`run_grid`, and each
+pool worker) keeps freed blocks of up to 32 MiB in its heap, so the n×n
+temporaries of one trial are reused by the next instead of being returned
+to the kernel and faulted back in page by page. The setting is made once
+per process and not restored; it changes no computed value.
+
 Config files are flat ``key = value`` text; see :func:`parse_grid_config`.
 """
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import multiprocessing
@@ -264,10 +271,46 @@ def _set_blas_threads(count: int) -> int | None:
     return None
 
 
+# glibc mallopt parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Make glibc's malloc keep freed blocks of up to 32 MiB in the heap.
+
+    By default glibc hands every freed n×n temporary of a trial back to the
+    kernel, and the next trial faults the same pages back in, zero-filled
+    one at a time. With an mmap threshold of 32 MiB and a trim threshold of
+    64 MiB the blocks stay mapped and are reused. Returns whether both
+    settings took; on any other libc nothing is set. glibc cannot report
+    the values it replaces, so they are set once per process and never
+    restored (setting glibc's static defaults back would also switch off its
+    dynamic mmap threshold)."""
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1)
+
+
+def _init_worker() -> None:
+    # Spawn-pool initializer: the serial loop's settings, once per worker.
+    _set_blas_threads(1)
+    _keep_freed_memory()
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread; restore the caller's count on
-    every exit."""
+    every exit. Also keeps freed memory in the heap for the rest of the
+    process (see :func:`_keep_freed_memory`)."""
+    _keep_freed_memory()
     before = _set_blas_threads(1)
     try:
         yield
@@ -282,7 +325,9 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
     it (suffix ``.agg.csv``). Rows are sorted by (n, sigma, rep) and flushed
     after each completed cell, so an interrupted run leaves whole cells.
     Trials run on one BLAS thread each (see the module docstring); the
-    caller's thread count is restored on return. Returns the aggregates."""
+    caller's thread count is restored on return. On glibc the process also
+    keeps freed memory for reuse from the first call on, and keeps doing so
+    after return (see :func:`_keep_freed_memory`). Returns the aggregates."""
     lattice = itertools.product(sorted(set(config.n_values)), sorted(set(config.sigmas)),
                                 range(config.reps))
     args = [(config.case, n, sigma, rep, trial_seed(config.seed_base, index), config.solver)
@@ -300,7 +345,7 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
             if config.workers > 1:
                 # Spawned workers sidestep fork-safety issues in threaded BLAS.
                 pool = multiprocessing.get_context("spawn").Pool(
-                    config.workers, initializer=_set_blas_threads, initargs=(1,))
+                    config.workers, initializer=_init_worker)
                 # One ordered feed: a worker freed by a short trial takes the
                 # next one, whichever cell it belongs to.
                 records = pool.imap(_trial_from_args, args, chunksize=1)

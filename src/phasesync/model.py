@@ -82,7 +82,7 @@ class SyncInstance:
     1, is derived here and nowhere else: it cannot be passed in, so an
     instance whose ``C`` disagrees with its parts cannot exist. Checked at
     construction: ``W`` has the size of ``z`` and an exactly zero diagonal,
-    and ``sigma >= 0``.
+    and ``0 <= sigma < inf``.
     """
 
     z: PhaseVector
@@ -94,8 +94,8 @@ class SyncInstance:
     def __post_init__(self):
         if self.W.n != self.z.n:
             raise ValueError("signal and noise sizes disagree")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if np.any(np.diag(self.W.mat) != 0.0):
             raise ValueError("noise matrix must have a zero diagonal")
         c = np.outer(self.z.vec, self.z.vec.conj()) + self.sigma * self.W.mat

@@ -72,8 +72,8 @@ def _real_noise(signal: SignVector, noise: HermitianMatrix, sigma: float) -> np.
     # The checks both certificate forms make; returns the real part of W.
     if noise.n != signal.n:
         raise ValueError("signal and noise sizes disagree")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if np.iscomplexobj(noise.mat) and np.any(noise.mat.imag != 0.0):
         raise ValueError("noise matrix must be real")
     return noise.mat.real

@@ -3,7 +3,8 @@
 These deliberately share no code with the solver module: the complex oracle
 scans a full phase grid (first coordinate pinned to 1, since the objective is
 invariant under a global phase) and then polishes the best grid point with a
-plain projected-gradient ascent and backtracking line search. The real oracle
+Newton ascent in the n - 1 free angles, using the exact gradient and Hessian
+of ``x* C x`` in those angles, and reports whether it converged. The real oracle
 enumerates all sign vectors outright. Both are exponential in n and refuse
 sizes where that stops being a desk-scale computation.
 """
@@ -34,29 +35,64 @@ def _batched_quad(cmat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(cmat: np.ndarray, x: np.ndarray, grad_tol: float, max_iters: int = 50000) -> np.ndarray:
-    # Projected-gradient ascent on f(x) = x* C x with entrywise
-    # renormalization and Armijo backtracking.
-    n = x.size
-    tol = grad_tol * n
-    for _ in range(max_iters):
-        w = cmat @ x
-        d = 2.0 * w - 2.0 * (w * x.conj()).real * x
-        dn = np.linalg.norm(d)
-        if dn <= tol:
-            break
-        f0 = float(np.vdot(x, w).real)
-        step = 1.0 / max(1.0, dn)
-        for _ in range(80):
-            y = x + step * d
-            y = y / np.abs(y)
-            if float(np.vdot(y, cmat @ y).real) >= f0 + 0.25 * step * dn * dn:
+def _angle_derivatives(cmat: np.ndarray, theta: np.ndarray):
+    # f(theta) = x* C x at x = exp(i theta), with its exact gradient and
+    # Hessian in the angles:
+    #   df/dtheta_j = 2 Im(conj(x_j) (Cx)_j),
+    #   d2f/dtheta_j dtheta_k = 2 Re(conj(x_j) C_jk x_k) - 2 delta_jk Re(conj(x_j) (Cx)_j).
+    x = np.exp(1j * theta)
+    w = cmat @ x
+    xw = x.conj() * w
+    hess = 2.0 * (x.conj()[:, None] * cmat * x[None, :]).real
+    hess[np.diag_indices_from(hess)] -= 2.0 * xw.real
+    return float(xw.sum().real), 2.0 * xw.imag, hess
+
+
+# Newton steps longer than this (in any angle) are line-searched instead of
+# taken whole: the quadratic model is trusted only near a maximum.
+_NEWTON_RADIUS = 0.25
+
+
+def _polish(cmat: np.ndarray, x: np.ndarray, grad_tol: float,
+            max_iters: int = 100) -> tuple[np.ndarray, bool]:
+    # Newton ascent on f in the n - 1 free angles; the first angle stays
+    # where x has it. Where the free Hessian block is negative definite and
+    # its step short, the full Newton step is taken (quadratic convergence,
+    # and no comparison of values that agree to rounding). Otherwise the
+    # Newton or, without definiteness, the gradient direction is
+    # line-searched from a step of at most _NEWTON_RADIUS. Converged means
+    # the full angle gradient, whose norm equals that of the Riemannian
+    # gradient of x* C x, is at most grad_tol * n.
+    theta = np.angle(x)
+    tol = grad_tol * x.size
+    for _ in range(max_iters + 1):
+        f0, grad, hess = _angle_derivatives(cmat, theta)
+        if np.linalg.norm(grad) <= tol:
+            return np.exp(1j * theta), True
+        g = grad[1:]
+        try:
+            np.linalg.cholesky(-hess[1:, 1:])
+            step = np.linalg.solve(-hess[1:, 1:], g)
+            newton = True
+        except np.linalg.LinAlgError:
+            step = g
+            newton = False
+        reach = float(np.abs(step).max())
+        if newton and reach <= _NEWTON_RADIUS:
+            theta[1:] += step
+            continue
+        slope = float(g @ step)
+        t = 1.0 if reach <= _NEWTON_RADIUS else _NEWTON_RADIUS / reach
+        for _ in range(60):
+            trial = theta.copy()
+            trial[1:] += t * step
+            if _angle_derivatives(cmat, trial)[0] >= f0 + 1e-4 * t * slope:
                 break
-            step /= 2.0
+            t /= 2.0
         else:
             break
-        x = y
-    return x
+        theta = trial
+    return np.exp(1j * theta), False
 
 
 def brute_force_qp(
@@ -64,14 +100,15 @@ def brute_force_qp(
     k: int | None = None,
     refine: bool = True,
     grad_tol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, bool]:
     """Global maximum of ``x* C x`` over unit-modulus vectors, by dense grid
     scan over ``k`` phases per free coordinate plus optional local polish.
 
-    Returns ``(x, value)`` with the global phase fixed so the first
-    coordinate is 1. Without refinement the value is accurate only to the
-    grid resolution; with it, to ``grad_tol``-level criticality of an
-    independent ascent. Refuses n > 6 and k < 8.
+    Returns ``(x, value, converged)`` with the global phase fixed so the
+    first coordinate is 1. Without refinement the value is accurate only to
+    the grid resolution, and ``converged`` is False. With it, ``converged``
+    says whether an independent Newton ascent reached a gradient norm of
+    ``grad_tol * n``. Refuses n > 6 and k < 8.
     """
     n = data.n
     if n > MAX_COMPLEX_N:
@@ -93,13 +130,12 @@ def brute_force_qp(
     x = pts[best].copy()
     value = float(vals[best])
 
+    converged = False
     if refine:
-        x = _polish(data.mat, x, grad_tol)
-        # Re-pin the global phase to the first coordinate.
-        x = x * (x[0].conj() / abs(x[0]))
-        x = x / np.abs(x)
+        # The polish keeps the first angle at 0, so x[0] stays exactly 1.
+        x, converged = _polish(data.mat, x, grad_tol)
         value = float(np.vdot(x, data.mat @ x).real)
-    return x, value
+    return x, value, converged
 
 
 def brute_force_real(data: HermitianMatrix) -> tuple[SignVector, float]:

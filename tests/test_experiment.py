@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import hashlib
 import math
+import platform
+import resource
 import sys
 from pathlib import Path
 
@@ -575,6 +577,23 @@ class TestBlasThreads:
         with pytest.raises(RuntimeError, match="injected trial failure"):
             run_grid(self._config(tmp_path, "real", 20, "failed"))
         assert get_threads() == 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc thresholds are set through glibc's mallopt only")
+class TestFreedMemory:
+    def test_grid_trials_reuse_freed_memory(self, tmp_path):
+        # At n = 400 each real trial frees several 1.3 MB arrays; returned to
+        # the kernel, they cost about 3,000 minor faults per trial when the
+        # next trial touches them again.
+        cfg = GridConfig(case="real", n_values=(400,), sigmas=(2.0, 8.0), reps=2,
+                         workers=1, out=str(tmp_path / "r.csv"))
+        run_grid(cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_grid(cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 4 < 100
+        assert experiment._keep_freed_memory()
 
 
 class TestCurves:

@@ -154,7 +154,8 @@ class TestAssembleInstance:
         assert inst.n == 9
         assert np.array_equal(inst.C.mat, assemble_instance(z, w, 0.8, 4).C.mat)
 
-    @pytest.mark.parametrize("sigma", [-0.1, math.nan])
+    # An infinite sigma is caught by name, before C gets NaN entries.
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
     def test_constructor_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             SyncInstance(z=random_signal(5, 0), sigma=sigma, W=sample_wigner(5, 0), seed=0)

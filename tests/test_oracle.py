@@ -13,7 +13,7 @@ from phasesync.metrics import l2_error
 from phasesync.model import assemble_instance, random_signal, sample_wigner
 from phasesync.z2 import random_signs, sample_real_wigner
 
-from oracle import brute_force_qp, brute_force_real
+from oracle import _angle_derivatives, _polish, brute_force_qp, brute_force_real
 
 
 def _instance(n, sigma, seed):
@@ -25,31 +25,69 @@ def _instance(n, sigma, seed):
 class TestBruteForceQP:
     def test_noiseless_recovers_signal(self):
         inst = _instance(3, 0.0, 0)
-        x, value = brute_force_qp(inst.C)
+        x, value, _ = brute_force_qp(inst.C)
         assert value == pytest.approx(9.0, abs=1e-9)
         assert l2_error_from_array(x, inst.z.vec) <= 1e-6
 
     def test_first_coordinate_pinned(self):
         inst = _instance(4, 0.7, 1)
-        x, _ = brute_force_qp(inst.C)
+        x, _, _ = brute_force_qp(inst.C)
         assert x[0] == pytest.approx(1.0 + 0.0j, abs=1e-9)
 
     def test_value_is_attained(self):
         inst = _instance(3, 0.5, 2)
-        x, value = brute_force_qp(inst.C)
+        x, value, _ = brute_force_qp(inst.C)
         assert quad_form(inst.C, x) == pytest.approx(value, rel=1e-12)
 
     def test_refinement_improves_on_grid(self):
         inst = _instance(3, 0.4, 3)
-        _, coarse = brute_force_qp(inst.C, k=16, refine=False)
-        _, polished = brute_force_qp(inst.C, k=16, refine=True)
+        _, coarse, _ = brute_force_qp(inst.C, k=16, refine=False)
+        _, polished, _ = brute_force_qp(inst.C, k=16, refine=True)
         assert polished >= coarse - 1e-12
 
     def test_identity_matrix_everything_optimal(self):
         eye = np.eye(3, dtype=complex)
         from phasesync.hermitian import HermitianMatrix
-        _, value = brute_force_qp(HermitianMatrix(eye))
+        _, value, _ = brute_force_qp(HermitianMatrix(eye))
         assert value == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, sigma, seed", [(3, 0.5, 6), (4, 1.0, 7), (5, 0.8, 8),
+                                                (6, 1.5, 9)])
+    def test_polish_converges_to_a_critical_point(self, n, sigma, seed):
+        inst = _instance(n, sigma, seed)
+        x, value, converged = brute_force_qp(inst.C)
+        assert converged
+        assert x[0] == 1.0
+        w = inst.C.mat @ x
+        riemannian = 2.0 * w - 2.0 * (w * x.conj()).real * x
+        assert np.linalg.norm(riemannian) <= 1e-12 * n
+        assert value == pytest.approx(quad_form(inst.C, x), rel=1e-14)
+
+    def test_polish_reports_an_exhausted_budget(self):
+        # From a coarse grid point, zero Newton steps cannot reach 1e-12.
+        inst = _instance(4, 0.9, 2)
+        x0, _, _ = brute_force_qp(inst.C, k=8, refine=False)
+        _, converged = _polish(inst.C.mat, x0, 1e-12, max_iters=0)
+        assert not converged
+        _, converged = _polish(inst.C.mat, x0, 1e-12)
+        assert converged
+
+    def test_angle_derivatives_match_finite_differences(self):
+        inst = _instance(5, 1.2, 10)
+        rng = np.random.default_rng(11)
+        theta = rng.uniform(-np.pi, np.pi, size=5)
+        f, grad, hess = _angle_derivatives(inst.C.mat, theta)
+        h = 1e-5
+        eye = np.eye(5)
+        fd_grad = np.array([(_angle_derivatives(inst.C.mat, theta + h * e)[0]
+                             - _angle_derivatives(inst.C.mat, theta - h * e)[0]) / (2 * h)
+                            for e in eye])
+        fd_hess = np.array([(_angle_derivatives(inst.C.mat, theta + h * e)[1]
+                             - _angle_derivatives(inst.C.mat, theta - h * e)[1]) / (2 * h)
+                            for e in eye])
+        assert np.abs(grad - fd_grad).max() <= 1e-6 * max(1.0, abs(f))
+        assert np.abs(hess - fd_hess).max() <= 1e-6 * max(1.0, abs(f))
+        assert np.abs(hess - hess.T).max() <= 1e-13
 
     def test_rejects_oversize(self):
         inst = _instance(8, 0.1, 4)
@@ -58,8 +96,8 @@ class TestBruteForceQP:
 
     def test_deterministic(self):
         inst = _instance(4, 0.9, 5)
-        x1, v1 = brute_force_qp(inst.C, k=24)
-        x2, v2 = brute_force_qp(inst.C, k=24)
+        x1, v1, _ = brute_force_qp(inst.C, k=24)
+        x2, v2, _ = brute_force_qp(inst.C, k=24)
         assert v1 == v2
         assert np.array_equal(x1, x2)
 
@@ -67,7 +105,7 @@ class TestBruteForceQP:
         # The global optimum can only score at or above the planted vector.
         for seed in range(5):
             inst = _instance(3, 0.8, seed)
-            _, value = brute_force_qp(inst.C)
+            _, value, _ = brute_force_qp(inst.C)
             assert value >= quad_form(inst.C, inst.z.vec) - 1e-9
 
 
@@ -95,7 +133,7 @@ class TestBruteForceReal:
         w = sample_real_wigner(4, 2)
         inst = assemble_instance_real(z.vec.real, w.mat.real, 0.4)
         _, real_val = brute_force_real(inst)
-        _, cplx_val = brute_force_qp(inst, k=32)
+        _, cplx_val, _ = brute_force_qp(inst, k=32)
         assert cplx_val >= real_val - 1e-9
 
     def test_value_attained(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ class TestRealCertificate:
         w = sample_real_wigner(8, 1)
         with pytest.raises(ValueError):
             real_certificate(z, w, -0.5)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    @pytest.mark.parametrize("form", [real_certificate, planted_verdict])
+    def test_rejects_non_finite_sigma_by_name(self, form, sigma):
+        # Caught before any product with W, so no RuntimeWarning and no
+        # NaN-entry error from the certificate matrix.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                form(random_signs(8, 1), sample_real_wigner(8, 1), sigma)
 
     def test_planted_verdict_validates_like_real_certificate(self):
         from phasesync.model import sample_wigner
