@@ -38,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .hermitian import quad_form
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
@@ -161,7 +160,6 @@ def run_trial_detailed(
     rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts)
     cert = rep_solve.certificate
     bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
-    cost_z = quad_form(inst.C, z.vec)
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     record = TrialRecord(
@@ -169,7 +167,7 @@ def run_trial_detailed(
         discordant=disc.discordant,
         converged=rep_solve.converged,
         beat_planted=bool(rep_solve.beat_planted),
-        cost_x=rep_solve.cost, cost_z=cost_z, grad_norm=rep_solve.grad_norm,
+        cost_x=rep_solve.cost, cost_z=rep_solve.planted_cost, grad_norm=rep_solve.grad_norm,
         l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
         min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
         tight=cert.tight, unique=cert.unique,

@@ -9,11 +9,11 @@ Everything downstream (instance assembly, certificates, solver shifts) goes
 through this module for eigenvalue work, so the accuracy contract lives here:
 every eigenvalue comes from one dense, backward-stable LAPACK solve at every
 n and passes a gate before it is returned, so callers never have to trust
-the backend blindly: :func:`extreme_eigs` checks the residual of each
-eigenpair, and the values-only :func:`smallest_eigvals` (all a verdict
-reads) checks that the spectrum reproduces the trace and Frobenius norm.
-Where a question is only whether a matrix is positive definite, a Cholesky
-factorization answers it with a proof and no eigensolve (Rump 2006,
+the backend blindly: :func:`extreme_eigs` checks the residual of the
+eigenpair it returns, and the values-only :func:`smallest_eigvals` (all a
+verdict reads) checks that the spectrum reproduces the trace and Frobenius
+norm. Where a question is only whether a matrix is positive definite, a
+Cholesky factorization answers it with a proof and no eigensolve (Rump 2006,
 "Verification of positive definiteness"): :func:`norm_at_most` decides a
 spectral-norm bound with two of them, and ``certificate.proved_verdict``
 proves a trial's certificate verdict with one, real or complex, falling back
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Gate on each eigenpair residual of :func:`extreme_eigs` and on the trace and
+# Gate on the eigenpair residual of :func:`extreme_eigs` and on the trace and
 # Frobenius errors of :func:`smallest_eigvals`, relative to ``n * max(1, ||H||_F)``.
 EIG_RESIDUAL_TOL = 1e-9
 
@@ -51,14 +51,21 @@ class HermitianMatrix:
     closed-form certificate, is its own average, so it is copied without the
     averaging pass. Inputs with a NaN or infinite entry, and
     inputs whose asymmetry exceeds ``HERMITIAN_ATOL`` (relative to the
-    largest entry magnitude), are rejected; route asymmetric input through
-    :func:`symmetrize` instead.
+    largest entry magnitude), are rejected.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m, peak = _square_array(self.mat)
+        # The largest entry magnitude is checked finite before any arithmetic
+        # on the entries: halving a complex inf raises an "invalid value"
+        # warning, and a NaN pair would pass the asymmetry test.
+        m = np.asarray(self.mat, np.complex128 if np.iscomplexobj(self.mat) else np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+        peak = float(np.max(np.abs(m)))
+        if not np.isfinite(peak):
+            raise ValueError("matrix has a NaN or infinite entry")
         scale = max(1.0, peak)
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > HERMITIAN_ATOL * scale:
@@ -73,101 +80,32 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Extreme eigenpairs of a Hermitian matrix.
+def extreme_eigs(h: HermitianMatrix, index: int) -> tuple[float, np.ndarray]:
+    """The eigenpair at ``index`` (0, the smallest, or -1, the largest) of the
+    ascending spectrum of ``h``.
 
-    ``values`` are sorted ascending, ``vectors`` holds matching unit-norm
-    columns, and ``residuals[j] = ||H v_j - values[j] v_j||_2``. Residuals are
-    checked at construction time by :func:`extreme_eigs` against
-    ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)``; a decomposition worse than
-    that raises instead of returning.
+    One dense ``numpy.linalg.eigh`` (a caller that reads no vector asks
+    :func:`smallest_eigvals`). The solver calls it for the escape direction
+    on its tangent Hessian, and for the spectral start only when its
+    inverse-iteration vector fails the residual gate below. LAPACK's
+    Hermitian eigensolver is backward stable: its values are exact for a
+    matrix within a small multiple of ``eps ||H||`` of ``h``. The vector is
+    unit-norm with the dtype of ``h.mat``: real for a real-symmetric matrix.
+    Raises EigensolverError if LAPACK fails to converge, or the residual
+    ``||H v - lam v||`` exceeds ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)``.
     """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        for name in ("values", "vectors", "residuals"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _square_array(mat) -> tuple[np.ndarray, float]:
-    # The one dtype rule: complex128 for complex-typed input, else float64.
-    # Returns the array and its largest entry magnitude, checked finite before
-    # any arithmetic on the entries: halving a complex inf raises an "invalid
-    # value" warning, and a NaN pair would pass the asymmetry test.
-    m = np.asarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
-    peak = float(np.max(np.abs(m)))
-    if not np.isfinite(peak):
-        raise ValueError("matrix has a NaN or infinite entry")
-    return m, peak
-
-
-def symmetrize(mat) -> HermitianMatrix:
-    """Average a square matrix with its conjugate transpose; the dtype rule
-    and the rejection of NaN and infinite entries are those of
-    :class:`HermitianMatrix`."""
-    m, _ = _square_array(mat)
-    return HermitianMatrix((m + m.conj().T) / 2.0)
-
-
-def extreme_eigs(h: HermitianMatrix, k_small: int, k_large: int) -> EigenResult:
-    """Smallest ``k_small`` and largest ``k_large`` eigenpairs of ``h``.
-
-    Always one dense ``numpy.linalg.eigh``, at every n (a caller that reads
-    no vector asks :func:`smallest_eigvals`). The solver calls it for the
-    escape direction on its tangent Hessian, and for the spectral start only
-    when its inverse-iteration vector fails the residual gate below; it
-    never decomposes ``C`` otherwise. LAPACK's Hermitian eigensolver
-    is backward stable: its values are exact for a matrix within
-    a small multiple of ``eps ||H||`` of ``h``, which is what a verdict
-    compared with the certificate's ``-1e-14 n`` floor needs. An iterative
-    solver's Ritz value is only known to within its residual, and the
-    residual gate below admits up to ``1e-9 n ||H||_F``, far above that floor.
-    Values come back ascending: the small block first, then the large block.
-    Vectors have the dtype of ``h.mat``: real for a real-symmetric matrix.
-
-    Raises
-    ------
-    ValueError
-        If the counts are negative or exceed ``n``.
-    EigensolverError
-        If LAPACK fails to converge, or a residual exceeds
-        ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)``.
-    """
-    n = h.n
-    if k_small < 0 or k_large < 0:
-        raise ValueError("eigenpair counts must be nonnegative")
-    k = k_small + k_large
-    if k > n:
-        raise ValueError(f"requested {k} eigenpairs from a {n} x {n} matrix")
-    if k == 0:
-        empty_v = np.zeros((n, 0), dtype=h.mat.dtype)
-        return EigenResult(np.zeros(0), empty_v, np.zeros(0))
-
     try:
         vals, vecs = np.linalg.eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigendecomposition failed: {exc}") from exc
-    idx = list(range(k_small)) + list(range(n - k_large, n))
-    vals = vals[idx]
-    vecs = vecs[:, idx]
-
-    residuals = np.linalg.norm(h.mat @ vecs - vecs * vals[np.newaxis, :], axis=0)
-    allowed = EIG_RESIDUAL_TOL * n * max(1.0, float(np.linalg.norm(h.mat)))
-    worst = float(residuals.max())
-    if worst > allowed:
+    value, vec = float(vals[index]), vecs[:, index]
+    residual = float(np.linalg.norm(h.mat @ vec - value * vec))
+    allowed = EIG_RESIDUAL_TOL * h.n * max(1.0, float(np.linalg.norm(h.mat)))
+    if residual > allowed:
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds the allowed {allowed:.3e}"
+            f"eigenpair residual {residual:.3e} exceeds the allowed {allowed:.3e}"
         )
-    return EigenResult(vals, vecs, residuals)
+    return value, vec
 
 
 def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
@@ -217,21 +155,3 @@ def norm_at_most(h: HermitianMatrix, bound: float) -> bool:
         except np.linalg.LinAlgError:
             return False
     return True
-
-
-def quad_form(h: HermitianMatrix, vec) -> float:
-    """Real quadratic form v* H v.
-
-    The imaginary part of the raw complex product is pure rounding noise for
-    a Hermitian H; a diagnostic assert keeps it below
-    1e-10 * ||H||_F * max(1, ||v||^2).
-    """
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.shape != (h.n,):
-        raise ValueError(f"vector shape {v.shape} does not match matrix size {h.n}")
-    q = complex(np.vdot(v, h.mat @ v))
-    norm_sq = float(np.vdot(v, v).real)
-    assert abs(q.imag) <= 1e-10 * max(1.0, float(np.linalg.norm(h.mat))) * max(1.0, norm_sq), (
-        f"quadratic form has non-negligible imaginary part {q.imag:.3e}"
-    )
-    return q.real

@@ -3,12 +3,11 @@
 The metric is the real part of the ambient complex inner product. A tangent
 vector at ``x`` has zero radial component in every coordinate:
 ``Re(v_i * conj(x_i)) = 0``. Retraction is entrywise renormalization of
-``x + t v``, which agrees with the exponential map to second order.
-
-The objective this geometry serves is ``g(x) = -x* C x``, minimized over the
-torus; its gradient and Hessian-vector product are expressed through the
-matrix ``S(x) = Re diag(C x xbar) - C`` that doubles as the dual certificate
-at critical points.
+``x + t v``, which agrees with the exponential map to second order. The
+solver's escape step moves along a tangent vector by retraction; the
+derivatives of its objective live in ``solver``, where the loop's half
+gradient is ``e = S x`` and the tangent Hessian is ``H = Re(diag(xbar) S
+diag(x))``, with ``S = Re diag(C x xbar) - C``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianMatrix
 from .model import PhaseVector
 
 # Entrywise tolerance for the radial component of a tangent vector, applied
@@ -49,24 +47,6 @@ class TangentVector:
         d.setflags(write=False)
         object.__setattr__(self, "dir", d)
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.dir))
-
-
-def project_tangent(point: PhaseVector, vec) -> TangentVector:
-    """Orthogonal projection onto the tangent space at ``point``:
-    subtract from each entry its radial component ``Re(v_i xbar_i) x_i``."""
-    v = np.asarray(vec, dtype=np.complex128)
-    if v.shape != (point.n,):
-        raise ValueError(f"vector shape {v.shape} does not match point size {point.n}")
-    x = point.vec
-    d = v - (v * x.conj()).real * x
-    return TangentVector(point, d)
-
 
 def retract(point: PhaseVector, tangent: TangentVector, step: float) -> PhaseVector:
     """Entrywise renormalization of ``x + step * dir``.
@@ -85,29 +65,6 @@ def retract(point: PhaseVector, tangent: TangentVector, step: float) -> PhaseVec
     if np.any(a < 1e-14):
         raise ValueError("retraction hit a degenerate (near-zero) entry")
     return PhaseVector(y / a)
-
-
-def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> TangentVector:
-    """Riemannian gradient of ``g(x) = -x* C x`` at ``point``: the tangent
-    projection of the ambient gradient ``-2 C x``, which equals the closed
-    form ``2 (Re diag(C x xbar) - C) x``."""
-    if data.n != point.n:
-        raise ValueError("matrix and point sizes disagree")
-    return project_tangent(point, -2.0 * (data.mat @ point.vec))
-
-
-def hessian_vec(data: HermitianMatrix, point: PhaseVector, tangent: TangentVector) -> TangentVector:
-    """Riemannian Hessian of ``g(x) = -x* C x`` applied to a tangent vector:
-    ``Proj_x(2 S v)`` with ``S = Re diag(C x xbar) - C``."""
-    if data.n != point.n:
-        raise ValueError("matrix and point sizes disagree")
-    if tangent.base is not point and not np.array_equal(tangent.base.vec, point.vec):
-        raise ValueError("tangent vector is based at a different point")
-    x = point.vec
-    d = tangent.dir
-    r = ((data.mat @ x) * x.conj()).real
-    s_times_d = r * d - data.mat @ d
-    return project_tangent(point, 2.0 * s_times_d)
 
 
 def align_global_phase(point: PhaseVector, reference: PhaseVector) -> PhaseVector:

@@ -34,6 +34,11 @@ SIGN_STREAM = 3
 # Entrywise tolerance for |x_i| - 1 when validating a phase vector.
 UNIT_MODULUS_ATOL = 1e-12
 
+# The constants of the two noise-regularity events the closed-form bounds
+# assume: ||W|| <= OPNORM_CONST sqrt(n) and ||W z||_inf <= INF_CONST sqrt(n log n).
+OPNORM_CONST = 3.0
+INF_CONST = 3.0
+
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream)."""
@@ -165,29 +170,22 @@ def assemble_instance(signal: PhaseVector, noise: HermitianMatrix, sigma: float,
     return SyncInstance(z=signal, sigma=float(sigma), W=noise, seed=seed)
 
 
-def is_discordant(
-    noise: HermitianMatrix,
-    signal: PhaseVector,
-    opnorm_const: float = 3.0,
-    inf_const: float = 3.0,
-) -> DiscordanceReport:
+def is_discordant(noise: HermitianMatrix, signal: PhaseVector) -> DiscordanceReport:
     """Check the two noise-regularity events the error bounds are conditioned
-    on: ``||W|| <= opnorm_const * sqrt(n)`` and
-    ``||W z||_inf <= inf_const * sqrt(n log n)`` (natural log).
+    on: ``||W|| <= OPNORM_CONST * sqrt(n)`` and
+    ``||W z||_inf <= INF_CONST * sqrt(n log n)`` (natural log).
 
     The operator-norm event is decided by Cholesky factorizations of
-    ``opnorm_const * sqrt(n) * I -/+ W`` (:func:`norm_at_most`), without an
-    eigensolve. The constants are parameters so experiments can probe how
-    sensitive the regularity event is to them; defaults are the values the
-    closed-form bounds assume.
+    ``OPNORM_CONST * sqrt(n) * I -/+ W`` (:func:`norm_at_most`), without an
+    eigensolve.
     """
     if noise.n != signal.n:
         raise ValueError("noise and signal sizes disagree")
     n = noise.n
-    op_bound = opnorm_const * math.sqrt(n)
+    op_bound = OPNORM_CONST * math.sqrt(n)
     opnorm_ok = norm_at_most(noise, op_bound)
     inf_wz = float(np.max(np.abs(noise.mat @ signal.vec)))
-    inf_bound = inf_const * math.sqrt(n * math.log(n))
+    inf_bound = INF_CONST * math.sqrt(n * math.log(n))
     return DiscordanceReport(
         opnorm_ok=opnorm_ok,
         opnorm_bound=op_bound,
@@ -197,13 +195,7 @@ def is_discordant(
     )
 
 
-def noise_tail_stats(
-    n: int,
-    trials: int,
-    seed_base: int,
-    opnorm_const: float = 3.0,
-    inf_const: float = 3.0,
-) -> TailStats:
+def noise_tail_stats(n: int, trials: int, seed_base: int) -> TailStats:
     """Empirical exceedance frequencies of the two regularity events over
     independent noise draws, next to the analytic tail bounds
     ``exp(-n/2)`` and ``2 n^(-5/4)``."""
@@ -215,7 +207,7 @@ def noise_tail_stats(
         seed = trial_seed(seed_base, t)
         z = random_signal(n, seed)
         w = sample_wigner(n, seed)
-        rep = is_discordant(w, z, opnorm_const=opnorm_const, inf_const=inf_const)
+        rep = is_discordant(w, z)
         if not rep.opnorm_ok:
             op_exceed += 1
         if rep.inf_Wz > rep.inf_bound:

@@ -8,8 +8,8 @@ once, and escapes only along a tangent direction of negative curvature:
 * one gated values-only solve of ``C`` gives the shift ``lam = max(0,
   -min_eig(C))`` and the top eigenvalue; when no start is given, one step of
   inverse iteration just above that eigenvalue gives the top eigenvector,
-  whose phases are the spectral start (exactly :func:`spectral_init`). No
-  eigendecomposition of ``C`` is formed;
+  whose phases are the spectral start. No eigendecomposition of ``C`` is
+  formed;
 * projected power iterations on ``C + lam I`` map ``x`` to the entrywise
   phase of ``(C + lam I) x``; each never decreases the objective
   (majorize-minimize argument). First-order convergence is declared when the
@@ -103,8 +103,9 @@ class SolverReport:
     """Outcome of a solve.
 
     ``iterations`` counts power steps; escapes and the optional restart are
-    tracked separately. ``beat_planted`` is None when no planted signal was
-    supplied, otherwise it records ``cost >= planted cost - BEAT_COST_SLACK n^2``.
+    tracked separately. ``planted_cost`` and ``beat_planted`` are None when
+    no planted signal was supplied; otherwise they are the planted cost
+    ``z* C z`` and whether ``cost >= planted_cost - BEAT_COST_SLACK n^2``.
     ``converged`` implies ``grad_norm <= grad_tol * n``. ``certificate`` is
     the verdict on ``x``: the flags of :func:`certify`, and its eigenvalues
     too unless a factorization proved the verdict, in which case
@@ -116,6 +117,7 @@ class SolverReport:
     grad_norm: float
     iterations: int
     escapes: int
+    planted_cost: float | None
     beat_planted: bool | None
     converged: bool
     certificate: CertificateReport
@@ -150,7 +152,7 @@ def _top_vector(data: HermitianMatrix, top: float) -> np.ndarray:
         v /= np.linalg.norm(v)
         if np.linalg.norm(data.mat @ v - top * v) <= EIG_RESIDUAL_TOL * n * scale:
             return v
-    return extreme_eigs(data, 0, 1).vectors[:, 0]
+    return extreme_eigs(data, -1)[1]
 
 
 def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
@@ -158,21 +160,6 @@ def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
     # gated values-only solve.
     vals = smallest_eigvals(data, data.n)
     return max(0.0, -float(vals[0])), float(vals[-1])
-
-
-def spectral_init(data: HermitianMatrix) -> PhaseVector:
-    """Entrywise phases of the leading eigenvector.
-
-    The eigenvalue comes from one gated ``numpy.linalg.eigvalsh`` and the
-    vector from one step of inverse iteration just above it, which must pass
-    the residual gate of :func:`extreme_eigs`; only when it does not is the
-    vector taken from a dense eigensolve. The global phase is that of the
-    solve, not of LAPACK's eigenvectors. Entries of the eigenvector with
-    modulus below 1e-12 are replaced by 1, since they carry no usable phase
-    information. This is the start :func:`solve_second_order` takes when
-    given none.
-    """
-    return _round_phases(_top_vector(data, _spectrum(data)[1]))
 
 
 def _certificate(data: HermitianMatrix, point: PhaseVector, a: np.ndarray,
@@ -197,6 +184,12 @@ def _certificate(data: HermitianMatrix, point: PhaseVector, a: np.ndarray,
     return verdict(s, x), s
 
 
+def _tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
+    # H = Re(diag(xbar) S diag(x)) for the certificate ``s`` at ``x``: the
+    # Hessian of -x* C x at x along i x o theta is i x o (2 H theta).
+    return HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
+
+
 def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector | None:
     # ``s`` is the certificate at ``point``; the escape direction is
     # ``i x o theta`` for the bottom eigenvector theta of the tangent Hessian H.
@@ -204,17 +197,17 @@ def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector
     # none without the eigensolve.
     x = point.vec
     n = point.n
-    h = HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
+    h = _tangent_hessian(x, s)
     try:
         np.linalg.cholesky(h.mat + ESCAPE_TOL * n * np.eye(n))
     except np.linalg.LinAlgError:
         pass
     else:
         return None
-    eig = extreme_eigs(h, 1, 0)
-    if eig.values[0] >= -ESCAPE_TOL * n:
+    value, theta = extreme_eigs(h, 0)
+    if value >= -ESCAPE_TOL * n:
         return None
-    return TangentVector(point, 1j * x * eig.vectors[:, 0])
+    return TangentVector(point, 1j * x * theta)
 
 
 def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: TangentVector,
@@ -336,5 +329,5 @@ def solve_second_order(
     return SolverReport(
         x=final, cost=cost, grad_norm=gn,
         iterations=iterations, escapes=escapes,
-        beat_planted=beat, converged=converged, certificate=cert,
+        planted_cost=cost_z, beat_planted=beat, converged=converged, certificate=cert,
     )

@@ -69,14 +69,14 @@ def sample_real_wigner(n: int, seed: int) -> HermitianMatrix:
 
 
 def _real_noise(signal: SignVector, noise: HermitianMatrix, sigma: float) -> np.ndarray:
-    # The checks both certificate forms make; returns the real part of W.
+    # The checks both certificate forms make; returns W.
     if noise.n != signal.n:
         raise ValueError("signal and noise sizes disagree")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if np.iscomplexobj(noise.mat) and np.any(noise.mat.imag != 0.0):
-        raise ValueError("noise matrix must be real")
-    return noise.mat.real
+    if noise.mat.dtype != np.float64:
+        raise ValueError(f"noise matrix must be real float64, got {noise.mat.dtype}")
+    return noise.mat
 
 
 def _assert_kernel(residual: float, n: int) -> None:
@@ -91,9 +91,8 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
     Off the diagonal ``S = -z z^T - sigma W``; on it
     ``S_ii = n - 1 + sigma z_i (W z)_i``. The defining identity ``S z = 0``
     is asserted on every call (to ``1e-10 * n``): it holds for any signs,
-    noise, and sigma, not just favorable draws. ``S`` is real float64; a
-    complex-typed noise matrix is accepted when its imaginary parts are all
-    zero, and its real part is used.
+    noise, and sigma, not just favorable draws. ``W`` must be real float64,
+    and so is ``S``.
     """
     w = _real_noise(signal, noise, sigma)
     n = signal.n

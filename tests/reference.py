@@ -7,13 +7,19 @@ Values computed here are trusted because the algorithms are short enough to
 audit by eye, not because they are fast. :func:`operator_norm` is the one
 exception: a dense solve through the package, kept here because only tests
 read a spectral norm (the package decides its norm bound by factorization).
+The torus derivatives of ``g(x) = -x* C x`` (:func:`riemannian_grad`,
+:func:`hessian_vec`, through :func:`project_tangent`) are written as
+projections of ambient derivatives, independently of the certificate form
+the solver evaluates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phasesync.hermitian import HermitianMatrix, extreme_eigs
+from phasesync.hermitian import HermitianMatrix, smallest_eigvals
+from phasesync.manifold import TangentVector
+from phasesync.model import PhaseVector
 
 
 def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -57,16 +63,64 @@ def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
 
 def operator_norm(h: HermitianMatrix) -> float:
     """Spectral norm, i.e. the largest eigenvalue magnitude, from the two
-    extreme eigenvalues of one dense solve."""
-    if h.n == 1:
-        return float(np.abs(h.mat[0, 0]))
-    eig = extreme_eigs(h, 1, 1)
-    return float(np.max(np.abs(eig.values)))
+    extreme eigenvalues of one dense values-only solve."""
+    vals = smallest_eigvals(h, h.n)
+    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def real_inner(u, v) -> float:
     """Riemannian inner product of the torus: Re(u* v) on ambient vectors."""
     return float(np.vdot(np.asarray(u), np.asarray(v)).real)
+
+
+def quad_form(h: HermitianMatrix, vec) -> float:
+    """Real quadratic form v* H v.
+
+    The imaginary part of the raw complex product is pure rounding noise for
+    a Hermitian H; a diagnostic assert keeps it below
+    1e-10 * ||H||_F * max(1, ||v||^2).
+    """
+    v = np.asarray(vec, dtype=np.complex128)
+    if v.shape != (h.n,):
+        raise ValueError(f"vector shape {v.shape} does not match matrix size {h.n}")
+    q = complex(np.vdot(v, h.mat @ v))
+    norm_sq = float(np.vdot(v, v).real)
+    assert abs(q.imag) <= 1e-10 * max(1.0, float(np.linalg.norm(h.mat))) * max(1.0, norm_sq), (
+        f"quadratic form has non-negligible imaginary part {q.imag:.3e}"
+    )
+    return q.real
+
+
+def project_tangent(point: PhaseVector, vec) -> TangentVector:
+    """Orthogonal projection onto the tangent space at ``point``:
+    subtract from each entry its radial component ``Re(v_i xbar_i) x_i``."""
+    v = np.asarray(vec, dtype=np.complex128)
+    if v.shape != (point.n,):
+        raise ValueError(f"vector shape {v.shape} does not match point size {point.n}")
+    x = point.vec
+    return TangentVector(point, v - (v * x.conj()).real * x)
+
+
+def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> TangentVector:
+    """Riemannian gradient of ``g(x) = -x* C x`` at ``point``: the tangent
+    projection of the ambient gradient ``-2 C x``."""
+    if data.n != point.n:
+        raise ValueError("matrix and point sizes disagree")
+    return project_tangent(point, -2.0 * (data.mat @ point.vec))
+
+
+def hessian_vec(data: HermitianMatrix, point: PhaseVector,
+                tangent: TangentVector) -> TangentVector:
+    """Riemannian Hessian of ``g(x) = -x* C x`` applied to a tangent vector:
+    ``Proj_x(2 S v)`` with ``S = Re diag(C x xbar) - C``."""
+    if data.n != point.n:
+        raise ValueError("matrix and point sizes disagree")
+    if tangent.base is not point and not np.array_equal(tangent.base.vec, point.vec):
+        raise ValueError("tangent vector is based at a different point")
+    x = point.vec
+    d = tangent.dir
+    r = ((data.mat @ x) * x.conj()).real
+    return project_tangent(point, 2.0 * (r * d - data.mat @ d))
 
 
 def quad_form_loops(mat: np.ndarray, vec: np.ndarray) -> complex:

@@ -13,16 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from phasesync.certificate import certify
+from phasesync.certificate import build_certificate, certify
 from phasesync.experiment import (GridConfig, aggregate_path, run_grid, run_real_trial,
                                   run_trial, run_trial_detailed)
-from phasesync.manifold import hessian_vec, retract, riemannian_grad, project_tangent
+from phasesync.hermitian import HermitianMatrix
+from phasesync.manifold import TangentVector, retract
 from phasesync.metrics import l2_error
 from phasesync.model import (PhaseVector, assemble_instance, noise_tail_stats,
                              random_signal, sample_wigner, trial_seed)
-from phasesync.solver import solve_second_order, spectral_init
+from phasesync.solver import _tangent_hessian, solve_second_order
 
 from oracle import brute_force_qp
+from reference import project_tangent, quad_form, riemannian_grad
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -39,7 +41,7 @@ def test_criterion_1_noiseless_exactness():
     for n in (2, 5, 10, 50, 200):
         z = random_signal(n, 1000 + n)
         inst = assemble_instance(z, sample_wigner(n, 1000 + n), 0.0, 1000 + n)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
         corr = abs(np.vdot(inst.z.vec, rep.x.vec))
         worst_dist = max(worst_dist, 2.0 * (n - corr) / n)
         cert = certify(inst.C, rep.x)
@@ -134,6 +136,11 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_derivative_correctness():
+    # The derivatives the solver runs, of the descent functional -x* C x:
+    # the gradient 2 S x (twice the power loop's e = S x) and the Hessian
+    # along v = i x o theta, i x o (2 H theta) with the escape test's tangent
+    # Hessian H. The references are finite differences of the cost and of
+    # the projected ambient gradient.
     t0 = time.perf_counter()
     n = 7
     rng = np.random.default_rng(606)
@@ -141,28 +148,28 @@ def test_criterion_6_derivative_correctness():
     worst_h = 0.0
     for _ in range(20):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        from phasesync.hermitian import HermitianMatrix, quad_form
         c = HermitianMatrix((a + a.conj().T) / 2.0)
         x = PhaseVector(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
-        v = project_tangent(x, rng.normal(size=n) + 1j * rng.normal(size=n))
+        theta = ((rng.normal(size=n) + 1j * rng.normal(size=n)) * x.vec.conj()).imag
+        v = TangentVector(x, 1j * x.vec * theta)
+        s = build_certificate(c, x)
 
-        grad = riemannian_grad(c, x)
+        grad = 2.0 * (s.mat @ x.vec)
         h = 1e-6
-        # The gradient convention is for the descent functional -x*Cx.
         plus = -quad_form(c, retract(x, v, h).vec)
         minus = -quad_form(c, retract(x, v, -h).vec)
         fd_dir = (plus - minus) / (2.0 * h)
-        exact_dir = float(np.real(np.vdot(grad.dir, v.dir)))
+        exact_dir = float(np.real(np.vdot(grad, v.dir)))
         worst_g = max(worst_g, abs(fd_dir - exact_dir) / max(1.0, abs(exact_dir)))
 
-        hv = hessian_vec(c, x, v)
+        hv = 1j * x.vec * (2.0 * (_tangent_hessian(x.vec, s).mat @ theta))
         h2 = 1e-5
         gp = riemannian_grad(c, retract(x, v, h2)).dir
         gm = riemannian_grad(c, retract(x, v, -h2)).dir
         fd_hv = project_tangent(x, (gp - gm) / (2.0 * h2)).dir
         worst_h = max(worst_h,
-                      float(np.linalg.norm(fd_hv - hv.dir))
-                      / max(1.0, float(np.linalg.norm(hv.dir))))
+                      float(np.linalg.norm(fd_hv - hv))
+                      / max(1.0, float(np.linalg.norm(hv))))
     elapsed = time.perf_counter() - t0
     ok = worst_g <= 1e-6 and worst_h <= 1e-6
     _report(6, "derivative correctness", ok,

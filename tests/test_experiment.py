@@ -17,9 +17,10 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync import certificate, experiment, hermitian, model
 from phasesync.certificate import RANK_TOL, build_certificate, certify, verdict
-from phasesync.hermitian import quad_form
 from phasesync.model import PhaseVector, assemble_instance, trial_seed
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
+
+from reference import quad_form
 
 
 def _write_config(tmp_path, text):
@@ -160,6 +161,13 @@ class TestTrialRecords:
         assert inst.n == 20
         assert np.array_equal(solver_rep.x.vec, solver_rep.x.vec)
         assert rec.cost_x == pytest.approx(solver_rep.cost)
+
+    @pytest.mark.parametrize("n, sigma, seed", [(20, 0.4, 3), (60, 2.0, 11), (25, 8.0, 4)])
+    def test_complex_trial_cost_is_planted_quadratic_form(self, n, sigma, seed):
+        # The solver evaluates z* C z for its planted restart; the record
+        # takes that value, which must be the quadratic form bit for bit.
+        rec, inst, solver_rep = run_trial_detailed(n, sigma, seed=seed)
+        assert rec.cost_z == solver_rep.planted_cost == quad_form(inst.C, inst.z.vec)
 
     def test_real_trial_fields(self):
         rec = run_real_trial(40, 1.0, seed=5)

@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs,
-                                 norm_at_most, quad_form, smallest_eigvals,
-                                 symmetrize)
+                                 norm_at_most, smallest_eigvals)
 from phasesync.model import sample_wigner
 from phasesync.z2 import sample_real_wigner
 
-from reference import jacobi_eigvalsh, operator_norm, power_opnorm, quad_form_loops
+from reference import jacobi_eigvalsh, operator_norm, power_opnorm, quad_form, quad_form_loops
 
 
 def _rng(seed):
@@ -66,15 +65,6 @@ class TestHermitianMatrix:
         assert not real.mat.flags.writeable
         assert not cplx.mat.flags.writeable
 
-    def test_symmetrize_applies_the_same_dtype_rule(self):
-        inputs = (np.array([[1, 2], [2, 1]]),
-                  np.array([[1.0, 2.0], [0.0, 1.0]]),
-                  np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
-        for m in inputs:
-            h = symmetrize(m)
-            assert h.mat.dtype == HermitianMatrix(h.mat).mat.dtype
-            assert h.mat.dtype == (np.complex128 if np.iscomplexobj(m) else np.float64)
-
     def test_rejects_asymmetric_real(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -90,8 +80,6 @@ class TestHermitianMatrix:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             HermitianMatrix(m)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            symmetrize(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -103,20 +91,6 @@ class TestHermitianMatrix:
         big[0, 1] += 1e-9
         HermitianMatrix(big)
 
-    def test_symmetrize_handles_arbitrary_square_input(self):
-        m = np.array([[0.0, 1.0 + 1.0j], [0.0, 0.0]], dtype=complex)
-        h = symmetrize(m)
-        expected = (m + m.conj().T) / 2.0
-        assert np.allclose(h.mat, expected)
-
-    @given(st.integers(0, 2**31 - 1))
-    def test_symmetrize_idempotent(self, seed):
-        rng = _rng(seed)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        once = symmetrize(m)
-        twice = symmetrize(once.mat)
-        assert np.array_equal(once.mat, twice.mat)
-
 
 class TestExtremeEigs:
     def test_matches_jacobi_oracle(self):
@@ -124,43 +98,50 @@ class TestExtremeEigs:
             n = 3 + seed
             h = _random_hermitian(n, seed)
             ref = jacobi_eigvalsh(h.mat)
-            got = extreme_eigs(h, n, 0).values
-            assert np.abs(np.asarray(got) - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+            got = np.array([extreme_eigs(h, index)[0] for index in (0, -1)])
+            assert np.abs(got - ref[[0, -1]]).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
     def test_extreme_selection_matches_full_spectrum(self):
         h = _random_hermitian(12, 3)
         full = jacobi_eigvalsh(h.mat)
-        got = extreme_eigs(h, 2, 3)
-        assert np.allclose(got.values[:2], full[:2], atol=1e-10)
-        assert np.allclose(got.values[2:], full[-3:], atol=1e-10)
-        assert list(got.values) == sorted(got.values)
+        assert extreme_eigs(h, 0)[0] == pytest.approx(full[0], abs=1e-10)
+        assert extreme_eigs(h, -1)[0] == pytest.approx(full[-1], abs=1e-10)
 
     def test_diag_matrix_exact(self):
         d = np.array([-5.0, -1.0, 0.0, 2.0, 7.0])
         h = HermitianMatrix(np.diag(d).astype(complex))
-        got = extreme_eigs(h, 1, 1)
-        assert got.values[0] == pytest.approx(-5.0, abs=1e-12)
-        assert got.values[1] == pytest.approx(7.0, abs=1e-12)
+        assert extreme_eigs(h, 0)[0] == pytest.approx(-5.0, abs=1e-12)
+        assert extreme_eigs(h, -1)[0] == pytest.approx(7.0, abs=1e-12)
 
     def test_vectors_unit_norm_and_residuals_small(self):
         h = _random_hermitian(9, 11)
-        got = extreme_eigs(h, 2, 2)
-        norms = np.linalg.norm(got.vectors, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12)
-        assert np.all(got.residuals <= 1e-9 * 9 * max(1.0, np.linalg.norm(h.mat)))
+        for index in (0, -1):
+            value, vec = extreme_eigs(h, index)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            residual = np.linalg.norm(h.mat @ vec - value * vec)
+            assert residual <= 1e-9 * 9 * max(1.0, np.linalg.norm(h.mat))
 
-    def test_zero_requests_allowed(self):
-        h = _random_hermitian(4, 0)
-        got = extreme_eigs(h, 0, 0)
-        assert got.values.size == 0
-        assert got.vectors.shape == (4, 0)
+    def test_residual_gate(self, monkeypatch):
+        # A vector that is not an eigenvector misses the gate; a LAPACK
+        # failure is reported as an eigensolver error.
+        h = _random_hermitian(8, 5)
+        eigh = np.linalg.eigh
 
-    def test_count_validation(self):
-        h = _random_hermitian(4, 0)
-        with pytest.raises(ValueError):
-            extreme_eigs(h, 3, 2)
-        with pytest.raises(ValueError):
-            extreme_eigs(h, -1, 0)
+        def perturbed(a, *args, **kwargs):
+            vals, vecs = eigh(a, *args, **kwargs)
+            vecs[:, 0] = np.roll(vecs[:, 0], 1)
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(EigensolverError, match="residual"):
+            extreme_eigs(h, 0)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            extreme_eigs(h, -1)
 
     @pytest.mark.parametrize("path", ["dense"])
     def test_real_symmetric_matches_complex_cast(self, path):
@@ -170,22 +151,22 @@ class TestExtremeEigs:
         h = _random_symmetric(n, 4)
         as_complex = HermitianMatrix(h.mat.astype(np.complex128))
         scale = n * max(1.0, float(np.linalg.norm(h.mat)))
-        got = extreme_eigs(h, 2, 2)
-        ref = extreme_eigs(as_complex, 2, 2)
-        assert got.vectors.dtype == np.float64
-        assert ref.vectors.dtype == np.complex128
-        assert np.all(got.residuals <= 1e-10 * scale)
-        assert np.abs(got.values - ref.values).max() <= 1e-12 * scale
-        assert extreme_eigs(h, 0, 0).vectors.dtype == np.float64
+        for index in (0, -1):
+            value, vec = extreme_eigs(h, index)
+            ref_value, ref_vec = extreme_eigs(as_complex, index)
+            assert vec.dtype == np.float64
+            assert ref_vec.dtype == np.complex128
+            assert np.linalg.norm(h.mat @ vec - value * vec) <= 1e-10 * scale
+            assert abs(value - ref_value) <= 1e-12 * scale
 
     @given(st.integers(0, 2**31 - 1), st.floats(-3.0, 3.0))
     def test_shift_invariance(self, seed, shift):
         # Adding s I shifts every eigenvalue by exactly s.
         h = _random_hermitian(5, seed)
         shifted = HermitianMatrix(h.mat + shift * np.eye(5))
-        base = extreme_eigs(h, 1, 1).values
-        moved = extreme_eigs(shifted, 1, 1).values
-        assert np.allclose(np.asarray(moved), np.asarray(base) + shift, atol=1e-9)
+        for index in (0, -1):
+            assert extreme_eigs(shifted, index)[0] == pytest.approx(
+                extreme_eigs(h, index)[0] + shift, abs=1e-9)
 
 
 class TestSmallestEigvals:
@@ -195,9 +176,10 @@ class TestSmallestEigvals:
             h = make(n, n)
             scale = n * max(1.0, float(np.linalg.norm(h.mat)))
             got = smallest_eigvals(h, min(n, 2))
-            ref = extreme_eigs(h, min(n, 2), 0).values
+            ref = np.linalg.eigh(h.mat)[0][:min(n, 2)]
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * scale
+            assert abs(got[0] - extreme_eigs(h, 0)[0]) <= 1e-12 * scale
         assert smallest_eigvals(make(5, 0), 0).size == 0
 
     def test_count_validation(self):
@@ -304,6 +286,6 @@ class TestQuadForm:
         q = quad_form(h, v)
         assert isinstance(q, float)
         # Rayleigh quotient lies within the spectrum.
-        eig = extreme_eigs(h, 1, 1)
+        bottom, top = extreme_eigs(h, 0)[0], extreme_eigs(h, -1)[0]
         nsq = float(np.vdot(v, v).real)
-        assert eig.values[0] * nsq - 1e-9 <= q <= eig.values[1] * nsq + 1e-9
+        assert bottom * nsq - 1e-9 <= q <= top * nsq + 1e-9

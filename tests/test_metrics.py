@@ -10,7 +10,7 @@ from phasesync.metrics import (evaluate_bounds, l2_error, linf_error,
                                sufficient_noise_condition, tightness_threshold)
 from phasesync.model import (PhaseVector, assemble_instance, is_discordant, random_signal,
                              sample_wigner)
-from phasesync.solver import solve_second_order, spectral_init
+from phasesync.solver import solve_second_order
 
 from reference import min_phase_distance
 
@@ -102,7 +102,7 @@ def _bounds(inst, point):
 class TestEvaluateBounds:
     def test_sigma_zero_all_flags_true(self):
         inst = _instance(40, 0.0, 6)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
         bounds = _bounds(inst, rep.x)
         assert bounds.l2_err <= 1e-4
         assert bounds.lemma2_bound == 0.0
@@ -115,7 +115,7 @@ class TestEvaluateBounds:
         n = 100
         sigma = tightness_threshold(n)
         inst = _instance(n, sigma, 7)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
         bounds = _bounds(inst, rep.x)
         # The bounds are in force on this trial.
         assert is_discordant(inst.W, inst.z).discordant and rep.beat_planted

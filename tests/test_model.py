@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasesync import model
 from phasesync.hermitian import HermitianMatrix
 from phasesync.model import (PhaseVector, SyncInstance, assemble_instance,
                              is_discordant, noise_tail_stats, philox_stream,
@@ -193,20 +194,26 @@ class TestDiscordance:
         assert rep.inf_Wz == pytest.approx(float(np.abs(w.mat @ z.vec).max()), rel=1e-12)
         assert operator_norm(w) == pytest.approx(power_opnorm(np.asarray(w.mat), seed=8), rel=1e-7)
 
-    def test_constant_knobs(self):
+    def test_constant_knobs(self, monkeypatch):
         z = random_signal(30, 1)
         w = sample_wigner(30, 1)
-        strict = is_discordant(w, z, opnorm_const=0.01, inf_const=0.01)
+        assert is_discordant(w, z).discordant
+        monkeypatch.setattr(model, "OPNORM_CONST", 0.01)
+        monkeypatch.setattr(model, "INF_CONST", 0.01)
+        strict = is_discordant(w, z)
+        assert not strict.opnorm_ok and strict.inf_Wz > strict.inf_bound
         assert not strict.discordant
 
-    def test_opnorm_gate_flips_at_the_norm(self):
+    def test_opnorm_gate_flips_at_the_norm(self, monkeypatch):
         n = 40
         z = random_signal(n, 6)
         w = sample_wigner(n, 6)
         assert is_discordant(w, z).inf_Wz <= 3.0 * math.sqrt(n * math.log(n))
         c = operator_norm(w) / math.sqrt(n)
-        below = is_discordant(w, z, opnorm_const=c * (1.0 - 1e-9))
-        above = is_discordant(w, z, opnorm_const=c * (1.0 + 1e-9))
+        monkeypatch.setattr(model, "OPNORM_CONST", c * (1.0 - 1e-9))
+        below = is_discordant(w, z)
+        monkeypatch.setattr(model, "OPNORM_CONST", c * (1.0 + 1e-9))
+        above = is_discordant(w, z)
         assert not below.opnorm_ok and not below.discordant
         assert above.opnorm_ok and above.discordant
 
@@ -234,8 +241,10 @@ class TestNoiseTails:
         assert stats.opnorm_threshold == pytest.approx(3.0 * math.sqrt(80))
         assert stats.inf_threshold == pytest.approx(3.0 * math.sqrt(80 * math.log(80)))
 
-    def test_tiny_constants_always_exceed(self):
-        stats = noise_tail_stats(30, 10, seed_base=5, opnorm_const=0.01, inf_const=0.01)
+    def test_tiny_constants_always_exceed(self, monkeypatch):
+        monkeypatch.setattr(model, "OPNORM_CONST", 0.01)
+        monkeypatch.setattr(model, "INF_CONST", 0.01)
+        stats = noise_tail_stats(30, 10, seed_base=5)
         assert stats.opnorm_exceed_freq == 1.0
         assert stats.inf_exceed_freq == 1.0
 

@@ -8,12 +8,12 @@ and agreement between the two enumeration paths where both apply.
 import numpy as np
 import pytest
 
-from phasesync.hermitian import quad_form
 from phasesync.metrics import l2_error
 from phasesync.model import assemble_instance, random_signal, sample_wigner
 from phasesync.z2 import random_signs, sample_real_wigner
 
 from oracle import _angle_derivatives, _polish, brute_force_qp, brute_force_real
+from reference import quad_form
 
 
 def _instance(n, sigma, seed):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from phasesync import solver
 from phasesync.certificate import build_certificate, certify, verdict
-from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs, quad_form,
-                                 smallest_eigvals)
-from phasesync.manifold import TangentVector, align_global_phase, hessian_vec
+from phasesync.hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
+from phasesync.manifold import TangentVector, align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import (ESCAPE_TOL, SolverOptions, _negative_curvature,
-                              solve_second_order, spectral_init)
+from phasesync.solver import (ESCAPE_TOL, SolverOptions, _negative_curvature, _round_phases,
+                              _spectrum, _top_vector, solve_second_order)
 
-from reference import power_iterates, real_inner
+from reference import hessian_vec, power_iterates, quad_form, real_inner
 
 
 def _instance(n, sigma, seed):
@@ -92,7 +91,13 @@ def _watch(monkeypatch, name):
 
 def _eigh_start(data):
     # The spectral start from a dense eigendecomposition.
-    return solver._round_phases(np.linalg.eigh(data.mat)[1][:, -1])
+    return _round_phases(np.linalg.eigh(data.mat)[1][:, -1])
+
+
+def _spectral_start(data):
+    # The start solve_second_order takes when given none: the phases of the
+    # inverse-iteration vector at the top eigenvalue of one values-only solve.
+    return _round_phases(_top_vector(data, _spectrum(data)[1]))
 
 
 class TestSpectralInit:
@@ -104,7 +109,7 @@ class TestSpectralInit:
         inst = _instance(n, sigma, seed)
         ref = _eigh_start(inst.C)
         eigh, eigvalsh, solve = (_watch(monkeypatch, name) for name in ("eigh", "eigvalsh", "solve"))
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         assert (eigh, eigvalsh, solve) == ([], [(n, n)], [(n, n)])
         monkeypatch.undo()
         assert np.abs(align_global_phase(x0, ref).vec - ref.vec).max() <= 1e-10
@@ -116,7 +121,7 @@ class TestSpectralInit:
         n = 50
         inst = _instance(n, 0.0, 6)
         eigh = _watch(monkeypatch, "eigh")
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         assert eigh == []
         assert np.abs(align_global_phase(x0, inst.z).vec - inst.z.vec).max() <= 1e-10
 
@@ -127,7 +132,7 @@ class TestSpectralInit:
         z = PhaseVector(np.array([1.0 + 0j, -1.0 + 0j]))
         inst = assemble_instance(z, sample_wigner(2, 0), 0.0, 0)
         eigh = _watch(monkeypatch, "eigh")
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         assert eigh == [(2, 2)]
         monkeypatch.undo()
         assert np.abs(align_global_phase(x0, z).vec - z.vec).max() <= 1e-12
@@ -141,7 +146,7 @@ class TestSpectralInit:
         n = 6
         data = HermitianMatrix(np.eye(n, dtype=complex))
         eigh = _watch(monkeypatch, "eigh")
-        x0 = spectral_init(data)
+        x0 = _spectral_start(data)
         assert eigh == []
         assert np.allclose(x0.vec, x0.vec[0], rtol=0.0, atol=1e-15)
 
@@ -154,7 +159,7 @@ class TestSpectralInit:
 
     def test_unit_modulus_output(self):
         inst = _instance(40, 1.0, 5)
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         assert np.abs(np.abs(x0.vec) - 1.0).max() <= 1e-12
 
     def test_correlates_with_planted_signal(self):
@@ -163,7 +168,7 @@ class TestSpectralInit:
         corrs = []
         for seed in range(20):
             inst = _instance(100, 1.0, seed)
-            x0 = spectral_init(inst.C)
+            x0 = _spectral_start(inst.C)
             corrs.append(abs(np.vdot(inst.z.vec, x0.vec)) / 100.0)
         print(f"spectral init correlations at n=100 sigma=1: "
               f"min {min(corrs):.3f} mean {np.mean(corrs):.3f}")
@@ -173,7 +178,7 @@ class TestSpectralInit:
         # Leading eigenvector (1, 0, ...) pattern: second coordinate carries
         # no phase information and must come out as exactly 1.
         data = HermitianMatrix(np.diag([5.0, 1.0]).astype(complex))
-        x0 = spectral_init(data)
+        x0 = _spectral_start(data)
         assert x0.vec[1] == 1.0 + 0j
 
 
@@ -202,7 +207,7 @@ class TestNoiselessExactness:
 class TestModerateNoise:
     def test_converges_and_certifies_against_planted(self):
         inst = _instance(60, 0.5, 3)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
         assert rep.converged
         assert rep.grad_norm <= 1e-10 * 60
         assert rep.beat_planted is True
@@ -210,7 +215,7 @@ class TestModerateNoise:
 
     def test_iteration_budget_reported_not_raised(self):
         inst = _instance(50, 3.0, 9)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z,
+        rep = solve_second_order(inst.C, None, signal=inst.z,
                                  opts=SolverOptions(max_iters=2))
         assert not rep.converged
         assert rep.iterations == 2
@@ -224,7 +229,7 @@ class TestModerateNoise:
         # the solver's own values-only solve of C.
         n = 30
         inst = _instance(n, sigma, 17)
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         shift = max(0.0, -float(smallest_eigvals(inst.C, 1)[0]))
         for budget in (1, 7, 40):
             rep = solve_second_order(inst.C, x0, opts=SolverOptions(grad_tol=1e-300,
@@ -255,17 +260,16 @@ class TestModerateNoise:
         # The power iteration never decreases the objective, so cost as a
         # function of the iteration budget must be nondecreasing.
         inst = _instance(40, 2.0, 12)
-        x0 = spectral_init(inst.C)
         costs = []
         for budget in (1, 2, 4, 8, 16, 32, 64):
-            rep = solve_second_order(inst.C, x0, opts=SolverOptions(max_iters=budget))
+            rep = solve_second_order(inst.C, None, opts=SolverOptions(max_iters=budget))
             costs.append(rep.cost)
         diffs = np.diff(costs)
         assert np.all(diffs >= -1e-9 * 40 * 40)
 
     def test_phase_equivariance_of_solution(self):
         inst = _instance(16, 0.5, 21)
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         base = solve_second_order(inst.C, x0, signal=inst.z)
         rotated_start = PhaseVector(x0.vec * np.exp(0.9j))
         other = solve_second_order(inst.C, rotated_start, signal=inst.z)
@@ -279,7 +283,7 @@ class TestRestartFromPlanted:
         # the planted signal; the restart rule guarantees the report does not.
         for seed in range(5):
             inst = _instance(30, 6.0, seed)
-            rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z,
+            rep = solve_second_order(inst.C, None, signal=inst.z,
                                      opts=SolverOptions(max_iters=20000))
             if rep.converged:
                 assert rep.beat_planted is True
@@ -287,8 +291,9 @@ class TestRestartFromPlanted:
 
     def test_no_signal_means_no_beat_flag(self):
         inst = _instance(10, 0.5, 4)
-        rep = solve_second_order(inst.C, spectral_init(inst.C))
+        rep = solve_second_order(inst.C, None)
         assert rep.beat_planted is None
+        assert rep.planted_cost is None
 
     def test_beat_flag_compares_with_planted_cost(self):
         # A converged solve from the spectral start beats the plant; one power
@@ -297,7 +302,7 @@ class TestRestartFromPlanted:
         inst = _instance(n, 0.5, 14)
         planted = quad_form(inst.C, inst.z.vec)
         flags = []
-        for x0, max_iters in ((spectral_init(inst.C), 500), (random_signal(n, 999), 1)):
+        for x0, max_iters in ((None, 500), (random_signal(n, 999), 1)):
             rep = solve_second_order(inst.C, x0, signal=inst.z,
                                      opts=SolverOptions(max_iters=max_iters))
             assert rep.beat_planted == (rep.cost >= planted - 1e-12 * n * n)
@@ -319,7 +324,7 @@ class TestEscape:
         data, x = _saddle_pair()
         d = _escape_direction(data, x)
         assert d is not None
-        assert d.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(d.dir) == pytest.approx(1.0, abs=1e-12)
         curv = real_inner(d.dir, hessian_vec(data, x, d).dir)
         # The bottom eigenvalue of H = S = [[-1, 1], [1, -1]] is -2.
         assert curv == pytest.approx(-4.0, abs=1e-12)
@@ -434,7 +439,7 @@ class TestSharedDecompositions:
 
     def test_default_start_is_spectral_init(self):
         inst = _instance(40, 1.0, 5)
-        x0 = spectral_init(inst.C)
+        x0 = _spectral_start(inst.C)
         # A tolerance this loose declares the start itself critical, and with
         # escapes off the solver returns it untouched.
         rep = solve_second_order(inst.C, None, opts=SolverOptions(grad_tol=1e6, max_escapes=0))
@@ -486,7 +491,7 @@ class TestReportInvariants:
         # sigma = 8 is far past tightness at n = 25, where the ascent can stop
         # at a local optimum; it must still be second-order critical.
         inst = _instance(25, sigma, seed)
-        rep = solve_second_order(inst.C, spectral_init(inst.C), signal=inst.z)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
         if rep.converged:
             assert rep.grad_norm <= 1e-10 * 25
         if rep.converged and rep.escapes < 5:

@@ -109,17 +109,16 @@ class TestRealCertificate:
         with pytest.raises(ValueError, match="real"):
             real_certificate(z, wc, 1.0)
 
-    def test_real_float64_and_complex_typed_real_noise_accepted(self):
-        # A complex-typed noise matrix with zero imaginary parts is still
-        # accepted, and gives the certificate of its real part.
+    @pytest.mark.parametrize("form", [real_certificate, planted_verdict])
+    def test_complex_typed_real_noise_rejected(self, form):
+        # Only float64 noise is accepted, even when a complex-typed matrix
+        # has zero imaginary parts; the certificate is float64 too.
         n, sigma = 20, 1.3
         z = random_signs(n, 3)
         w = sample_real_wigner(n, 3)
-        s = real_certificate(z, w, sigma)
-        s_cast = real_certificate(z, HermitianMatrix(w.mat.astype(np.complex128)), sigma)
-        assert s.mat.dtype == np.float64
-        assert s_cast.mat.dtype == np.float64
-        assert np.abs(s.mat - s_cast.mat).max() <= 1e-12 * n
+        assert real_certificate(z, w, sigma).mat.dtype == np.float64
+        with pytest.raises(ValueError, match="real float64"):
+            form(z, HermitianMatrix(w.mat.astype(np.complex128)), sigma)
 
     def test_rejects_negative_sigma(self):
         z = random_signs(8, 1)
@@ -160,7 +159,7 @@ class TestRecoveryCheck:
         w = sample_real_wigner(40, 21)
         check = _recovery(z, w, 2.0)
         s = real_certificate(z, w, 2.0)
-        ref = float(extreme_eigs(s, 1, 0).values[0])
+        ref = extreme_eigs(s, 0)[0]
         assert check.min_eig == pytest.approx(ref, abs=1e-12)
         assert check.tight == (check.min_eig >= -1e-14 * 40)
 
