@@ -27,22 +27,14 @@ from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, WORKERS_ENV_VAR, ConfigErro
 from .model import noise_tail_stats
 from .serialize import (read_instance, read_phase_vector, write_instance,
                         write_phase_vector)
-from .solver import SolverOptions
+from .solver import MAX_ITERS
 
 CERT_COLUMNS = ("residual", "min_eig", "second_eig", "diag_min", "tight", "unique")
 
 
-def _solver_opts_from_args(args) -> SolverOptions:
-    return SolverOptions(
-        grad_tol=args.grad_tol,
-        max_iters=args.max_iters,
-        max_escapes=args.max_escapes,
-    )
-
-
 def _cmd_solve(args) -> int:
     record, inst, report = run_trial_detailed(args.n, args.sigma, args.seed,
-                                              solver_opts=_solver_opts_from_args(args))
+                                              max_iters=args.max_iters)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(TRIAL_COLUMNS + ("runtime_ms",))
     writer.writerow(trial_csv_row(record) + [_fmt(record.runtime_ms)])
@@ -120,13 +112,6 @@ def _cmd_check_noise(args) -> int:
     return 0
 
 
-def _add_solver_flags(sub) -> None:
-    defaults = SolverOptions()
-    sub.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
-    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    sub.add_argument("--max-escapes", type=int, default=defaults.max_escapes)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasesync",
@@ -140,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dump-instance", metavar="PATH", default=None)
     p.add_argument("--dump-x", metavar="PATH", default=None)
-    _add_solver_flags(p)
+    p.add_argument("--max-iters", type=int, default=MAX_ITERS)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("certify", help="certify a stored estimate against a stored instance")

@@ -33,7 +33,7 @@ import itertools
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ import numpy as np
 from .metrics import evaluate_bounds
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
-from .solver import SolverOptions, solve_second_order
+from .solver import MAX_ITERS, solve_second_order
 from .z2 import planted_verdict, random_signs, sample_real_wigner
 
 WORKERS_ENV_VAR = "PHASESYNC_WORKERS"
@@ -63,7 +63,7 @@ class GridConfig:
     seed_base: int = 0
     workers: int = 1
     out: str = "grid.csv"
-    solver: SolverOptions = field(default_factory=SolverOptions)
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         if self.case not in ("complex", "real"):
@@ -78,6 +78,8 @@ class GridConfig:
             raise ConfigError(f"seed_base must be nonnegative, got {self.seed_base}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def run_trial_detailed(
     sigma: float,
     seed: int,
     rep: int = 0,
-    solver_opts: SolverOptions = SolverOptions(),
+    max_iters: int = MAX_ITERS,
 ):
     """Full complex-case pipeline on one planted instance. Returns the trial
     record together with the instance and the solver report, for callers that
@@ -157,7 +159,7 @@ def run_trial_detailed(
     w = sample_wigner(n, seed)
     inst = assemble_instance(z, w, sigma, seed)
     disc = is_discordant(w, z)
-    rep_solve = solve_second_order(inst.C, signal=z, opts=solver_opts)
+    rep_solve = solve_second_order(inst.C, signal=z, max_iters=max_iters)
     cert = rep_solve.certificate
     bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
 
@@ -183,10 +185,10 @@ def run_trial(
     sigma: float,
     seed: int,
     rep: int = 0,
-    solver_opts: SolverOptions = SolverOptions(),
+    max_iters: int = MAX_ITERS,
 ) -> TrialRecord:
     """Full complex-case pipeline on one planted instance."""
-    record, _, _ = run_trial_detailed(n, sigma, seed, rep=rep, solver_opts=solver_opts)
+    record, _, _ = run_trial_detailed(n, sigma, seed, rep=rep, max_iters=max_iters)
     return record
 
 
@@ -224,10 +226,10 @@ def run_real_trial(n: int, sigma: float, seed: int, rep: int = 0) -> TrialRecord
 
 
 def _trial_from_args(args) -> TrialRecord:
-    case, n, sigma, rep, seed, solver_opts = args
+    case, n, sigma, rep, seed, max_iters = args
     if case == "real":
         return run_real_trial(n, sigma, seed, rep=rep)
-    return run_trial(n, sigma, seed, rep=rep, solver_opts=solver_opts)
+    return run_trial(n, sigma, seed, rep=rep, max_iters=max_iters)
 
 
 def aggregate_path(out) -> Path:
@@ -328,7 +330,7 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
     after return (see :func:`_keep_freed_memory`). Returns the aggregates."""
     lattice = itertools.product(sorted(set(config.n_values)), sorted(set(config.sigmas)),
                                 range(config.reps))
-    args = [(config.case, n, sigma, rep, trial_seed(config.seed_base, index), config.solver)
+    args = [(config.case, n, sigma, rep, trial_seed(config.seed_base, index), config.max_iters)
             for index, (n, sigma, rep) in enumerate(lattice)]
 
     out_path = Path(config.out)
@@ -412,8 +414,9 @@ def write_curves(rows: list[tuple[float, ...]], fileobj) -> None:
         writer.writerow([_fmt(float(v)) for v in row])
 
 
-_SOLVER_KEYS = {"grad_tol": float, "max_iters": int, "max_escapes": int}
-_SCALAR_KEYS = {"case": str, "reps": int, "seed_base": int, "workers": int, "out": str}
+_SCALAR_KEYS = {"case": str, "reps": int, "seed_base": int, "workers": int, "out": str,
+                "max_iters": int}
+_GRID_KEYS = {"n_values", "sigma_list", "sigma_min", "sigma_max", "sigma_count", *_SCALAR_KEYS}
 
 
 def parse_grid_config(path) -> GridConfig:
@@ -429,8 +432,8 @@ def parse_grid_config(path) -> GridConfig:
       rule ``sigma_min`` / ``sigma_max`` / ``sigma_count`` (all three, and
       exclusive with sigma_list)
     - ``reps``, ``seed_base``, ``workers``, ``out``
-    - solver knobs ``grad_tol``, ``max_iters``, ``max_escapes`` (the
-      certificate gates and the curvature floor are fixed constants)
+    - ``max_iters``: the solver's power-step budget per complex trial (every
+      tolerance of the solver and of the certificate is a fixed constant)
 
     Unknown keys, duplicate keys, and malformed values raise ConfigError.
     """
@@ -449,10 +452,8 @@ def parse_grid_config(path) -> GridConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = ({"n_values", "sigma_list", "sigma_min", "sigma_max", "sigma_count"}
-             | set(_SCALAR_KEYS) | set(_SOLVER_KEYS))
     for key in raw:
-        if key not in known:
+        if key not in _GRID_KEYS:
             raise ConfigError(f"{path}: unknown key {key!r}")
 
     def convert(key: str, kind, value: str):
@@ -485,13 +486,7 @@ def parse_grid_config(path) -> GridConfig:
     else:
         raise ConfigError(f"{path}: missing sigma_list or sigma_min/max/count")
 
-    solver_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SOLVER_KEYS.items() if k in raw}
     scalar_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SCALAR_KEYS.items() if k in raw}
-
-    try:
-        solver = SolverOptions(**solver_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return GridConfig(
         case=scalar_kwargs.get("case", "complex"),
         n_values=n_values,
@@ -500,5 +495,5 @@ def parse_grid_config(path) -> GridConfig:
         seed_base=scalar_kwargs.get("seed_base", 0),
         workers=scalar_kwargs.get("workers", 1),
         out=scalar_kwargs.get("out", "grid.csv"),
-        solver=solver,
+        max_iters=scalar_kwargs.get("max_iters", MAX_ITERS),
     )

@@ -2,22 +2,16 @@
 
 A matrix keeps the number field of its input: real input is stored as a
 real-symmetric float64 array and complex input as a complex128 array, so the
-real sign problem runs real arithmetic and real LAPACK end to end while the
-complex phase problem is unchanged.
+real sign problem runs real arithmetic and real LAPACK end to end.
 
-Everything downstream (instance assembly, certificates, solver shifts) goes
-through this module for eigenvalue work, so the accuracy contract lives here:
-every eigenvalue comes from one dense, backward-stable LAPACK solve at every
-n and passes a gate before it is returned, so callers never have to trust
-the backend blindly: :func:`extreme_eigs` checks the residual of the
-eigenpair it returns, and the values-only :func:`smallest_eigvals` (all a
-verdict reads) checks that the spectrum reproduces the trace and Frobenius
-norm. Where a question is only whether a matrix is positive definite, a
-Cholesky factorization answers it with a proof and no eigensolve (Rump 2006,
-"Verification of positive definiteness"): :func:`norm_at_most` decides a
-spectral-norm bound with two of them, and ``certificate.proved_verdict``
-proves a trial's certificate verdict with one, real or complex, falling back
-to :func:`smallest_eigvals` only when it fails.
+Every eigenvalue the package reads comes from here: one dense,
+backward-stable LAPACK solve at every n, gated before it is returned.
+:func:`extreme_eigs` checks the residual of its eigenpair, and the
+values-only :func:`smallest_eigvals` (all a verdict reads) checks that the
+spectrum reproduces the trace and Frobenius norm. Whether a matrix is
+positive definite is decided by a Cholesky factorization instead, a proof
+with no eigensolve (Rump 2006, "Verification of positive definiteness"):
+:func:`norm_at_most` here, and ``certificate.proved_verdict``.
 """
 
 from __future__ import annotations

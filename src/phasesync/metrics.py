@@ -21,13 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .hermitian import HermitianMatrix
-from .manifold import align_global_phase
 from .model import PhaseVector
 
 # Additive arithmetic slack for the flag comparisons (see module docstring).
 L2_FLAG_SLACK = 1e-6
 LINF_FLAG_SLACK = 1e-6
+
+
+class AlignmentError(ValueError):
+    """Global phase alignment is undefined: the two vectors are orthogonal."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,9 @@ class BoundReport:
     ``lemma2_bound`` is the aligned l2 bound ``12 sigma``; ``lemma3_bound``
     the entrywise bound ``6 (sqrt(log n) + 29 sigma) sigma / sqrt(n)``;
     ``wx_bound`` the noise-at-estimate bound
-    ``36 sigma sqrt(n) + 3 sqrt(n log n)``. Each ``*_ok`` flag records
+    ``12 OPNORM_CONST sigma sqrt(n) + INF_CONST sqrt(n log n)``, from the
+    two noise events of ``model.is_discordant`` (36 and 3 with the paper's
+    constants). Each ``*_ok`` flag records
     measured <= bound (plus arithmetic slack). The flags bind only on a trial
     that is ``discordant and beat_planted`` (see the module docstring).
     ``suff_cond_ok`` and ``thm_threshold_ok`` are the two noise-level
@@ -69,6 +75,18 @@ def l2_error(point: PhaseVector, signal: PhaseVector) -> float:
         raise ValueError("point and signal sizes disagree")
     corr = abs(complex(np.vdot(signal.vec, point.vec)))
     return math.sqrt(max(0.0, 2.0 * (point.n - corr)))
+
+
+def align_global_phase(point: PhaseVector, reference: PhaseVector) -> PhaseVector:
+    """Rotate ``point`` by the global phase that makes ``reference* point``
+    real and nonnegative. Raises :class:`AlignmentError` when the two are
+    exactly orthogonal, in which case no preferred phase exists."""
+    if point.n != reference.n:
+        raise ValueError("point and reference sizes disagree")
+    corr = complex(np.vdot(reference.vec, point.vec))
+    if corr == 0:
+        raise AlignmentError("vectors are orthogonal, global phase is undefined")
+    return PhaseVector(point.vec * np.exp(-1j * np.angle(corr)))
 
 
 def linf_error(point: PhaseVector, signal: PhaseVector) -> float:
@@ -111,7 +129,8 @@ def evaluate_bounds(signal: PhaseVector, noise: HermitianMatrix, sigma: float,
     lemma2_bound = 12.0 * sigma
     lemma3_bound = 6.0 * (math.sqrt(math.log(n)) + 29.0 * sigma) * sigma / math.sqrt(n)
     wx_inf = float(np.max(np.abs(noise.mat @ point.vec)))
-    wx_bound = 36.0 * sigma * math.sqrt(n) + 3.0 * math.sqrt(n * math.log(n))
+    wx_bound = (12.0 * model.OPNORM_CONST * sigma * math.sqrt(n)
+                + model.INF_CONST * math.sqrt(n * math.log(n)))
 
     return BoundReport(
         l2_err=l2,

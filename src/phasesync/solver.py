@@ -2,8 +2,15 @@
 
 The solver maximizes ``x* C x`` over unit-modulus vectors and answers, for
 the point it returns, the question every trial asks: is the dual certificate
-``S = Re diag(C x xbar) - C`` positive semidefinite? It converges, certifies
-once, and escapes only along a tangent direction of negative curvature:
+``S = Re diag(C x xbar) - C`` positive semidefinite?
+
+The torus carries the metric ``Re(u* v)``. A tangent vector at ``x`` has zero
+radial part ``Re(v_i xbar_i)`` in every entry, so it is ``i x o theta`` with
+``theta`` real, and the retraction renormalizes ``x + t v`` entrywise, which
+agrees with the exponential map to second order. Along ``i x o theta`` the
+Hessian's quadratic form of ``-x* C x`` is exactly ``2 theta^T H theta``,
+``H = Re(diag(xbar) S diag(x))`` (Boumal 2016, "Nonconvex phase
+synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
 
 * one gated values-only solve of ``C`` gives the shift ``lam = max(0,
   -min_eig(C))`` and the top eigenvalue; when no start is given, one step of
@@ -13,36 +20,27 @@ once, and escapes only along a tangent direction of negative curvature:
 * projected power iterations on ``C + lam I`` map ``x`` to the entrywise
   phase of ``(C + lam I) x``; each never decreases the objective
   (majorize-minimize argument). First-order convergence is declared when the
-  Riemannian gradient norm falls below ``grad_tol * n``;
+  Riemannian gradient norm falls below ``GRAD_TOL * n``;
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* at a first-order point ``certificate.proved_verdict`` first tries to
-  prove the point tight and unique with one Cholesky factorization of
-  ``T = S + x x* - tau I`` (``tau = RANK_TOL * n``), which is ``x x* - C``
-  with a new diagonal, reusing the loop's own half gradient ``e = S x``. A
-  proved point is the global optimum and needs no escape test. Only when
-  the proof fails is ``S`` built and ``certificate.verdict`` decides on its
-  eigenvalues alone. Tangent vectors there are ``i x o theta`` with
-  ``theta`` real, on which the Hessian's quadratic form is exactly
-  ``2 theta^T H theta``, ``H = Re(diag(xbar) S diag(x))`` (Boumal 2016,
-  "Nonconvex phase synchronization"), so ``min_eig(H) >= min_eig(S)``. Only
-  when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed. A Cholesky
-  factorization of ``H + ESCAPE_TOL * n I`` then proves that no escape
-  exists; only when it fails is ``H`` decomposed (one real eigensolve). If
-  ``min_eig(H)`` is below the floor, its eigenvector gives a unit tangent
-  direction of curvature ``2 min_eig(H)``; a backtracking step along it
-  strictly increases the cost, and the ascent resumes. Otherwise the point
-  is second-order critical. The floor also keeps the global-phase kernel
-  ``H 1 = 0`` from being taken as a direction. Escapes are counted and
-  capped.
+* at a first-order point ``certificate.proved_verdict`` first tries to prove
+  the point tight and unique with one Cholesky factorization, reusing the
+  loop's half gradient ``e = S x``. A proved point is the global optimum and
+  needs no escape test. Otherwise ``S`` is built and ``certificate.verdict``
+  decides on its eigenvalues. Only when ``min_eig(S) < -ESCAPE_TOL * n`` is
+  ``H`` formed; a Cholesky factorization of ``H + ESCAPE_TOL * n I`` then
+  proves that no escape exists, and only when it fails is ``H`` decomposed
+  (one real eigensolve). If ``min_eig(H)`` is below the floor, its
+  eigenvector gives a unit tangent direction of curvature ``2 min_eig(H)``;
+  a backtracking step along it strictly increases the cost, and the ascent
+  resumes. Otherwise the point is second-order critical. The floor also
+  keeps the global-phase kernel ``H 1 = 0`` from being taken as a
+  direction. At most ``MAX_ESCAPES`` escapes are taken.
 
 The report carries the certificate verdict of the returned point: the one
 made at the last check, or, when the run ended without one (iteration budget
-spent, or escape cap reached), a :func:`certify` of the final point. A
-proved verdict carries bounds as ``min_eig`` and ``second_eig`` (see
-``certificate.proved_verdict``); any other is exactly what :func:`certify`
-reports.
+spent, or escape cap reached), a :func:`certify` of the final point.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from .certificate import (RANK_TOL, CertificateReport, build_certificate, certif
                           proved_verdict, verdict)
 from .hermitian import (EIG_RESIDUAL_TOL, EigensolverError, HermitianMatrix, extreme_eigs,
                         smallest_eigvals)
-from .manifold import PhaseVector, TangentVector, retract
+from .model import PhaseVector
 
 logger = logging.getLogger(__name__)
 
@@ -74,28 +72,16 @@ BEAT_COST_SLACK = 1e-12
 # must be below it first.
 ESCAPE_TOL = 1e-10
 
+# First-order convergence: the Riemannian gradient norm is at most
+# GRAD_TOL * n.
+GRAD_TOL = 1e-10
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for :func:`solve_second_order`.
+# The power-step budget of a solve unless its caller gives another one.
+MAX_ITERS = 500
 
-    ``grad_tol`` scales with n before use: first-order convergence is
-    ``grad_norm <= grad_tol * n``. ``max_iters`` caps power steps and
-    ``max_escapes`` caps escapes from saddles. The curvature floor is the
-    fixed ``ESCAPE_TOL``.
-    """
-
-    grad_tol: float = 1e-10
-    max_iters: int = 500
-    max_escapes: int = 5
-
-    def __post_init__(self):
-        if not 0.0 < self.grad_tol < math.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.max_escapes < 0:
-            raise ValueError(f"max_escapes must be nonnegative, got {self.max_escapes}")
+# Escapes from saddles per solve; a point reached by the last one is returned
+# with the verdict of certify.
+MAX_ESCAPES = 5
 
 
 @dataclass(frozen=True)
@@ -106,7 +92,7 @@ class SolverReport:
     tracked separately. ``planted_cost`` and ``beat_planted`` are None when
     no planted signal was supplied; otherwise they are the planted cost
     ``z* C z`` and whether ``cost >= planted_cost - BEAT_COST_SLACK n^2``.
-    ``converged`` implies ``grad_norm <= grad_tol * n``. ``certificate`` is
+    ``converged`` implies ``grad_norm <= GRAD_TOL * n``. ``certificate`` is
     the verdict on ``x``: the flags of :func:`certify`, and its eigenvalues
     too unless a factorization proved the verdict, in which case
     ``min_eig`` and ``second_eig`` are bounds on them.
@@ -190,7 +176,7 @@ def _tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
 
 
-def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector | None:
+def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> np.ndarray | None:
     # ``s`` is the certificate at ``point``; the escape direction is
     # ``i x o theta`` for the bottom eigenvector theta of the tangent Hessian H.
     # A Cholesky factorization of H + ESCAPE_TOL n I proves that there is
@@ -207,16 +193,23 @@ def _negative_curvature(point: PhaseVector, s: HermitianMatrix) -> TangentVector
     value, theta = extreme_eigs(h, 0)
     if value >= -ESCAPE_TOL * n:
         return None
-    return TangentVector(point, 1j * x * theta)
+    return 1j * x * theta
 
 
-def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: TangentVector,
+def _retract(x: np.ndarray, d: np.ndarray, step: float) -> PhaseVector:
+    # Entrywise renormalization of x + step d. For a tangent d = i x o theta,
+    # |x_i + step d_i|^2 = 1 + step^2 theta_i^2, so no entry vanishes.
+    y = x + step * d
+    return PhaseVector(y / np.abs(y))
+
+
+def _escape_step(data: HermitianMatrix, point: PhaseVector, direction: np.ndarray,
                  cost0: float) -> np.ndarray | None:
     # Backtracking line search along a negative-curvature direction. Strict
     # increase is guaranteed for small steps; give up after 60 halvings.
     step = 1.0
     for _ in range(60):
-        cand = retract(point, direction, step)
+        cand = _retract(point.vec, direction, step)
         cost = float(np.vdot(cand.vec, data.mat @ cand.vec).real)
         if cost > cost0:
             return np.asarray(cand.vec)
@@ -228,14 +221,16 @@ def solve_second_order(
     data: HermitianMatrix,
     x0: PhaseVector | None = None,
     signal: PhaseVector | None = None,
-    opts: SolverOptions = SolverOptions(),
+    max_iters: int = MAX_ITERS,
 ) -> SolverReport:
     """Run the full ascent from ``x0``, or from the spectral start when it is
     None; see the module docstring for the pieces. The returned verdict
     needs ``n >= 2``. An eigensolver failure on the certificate is reported
     in the verdict's ``error``; no escape is tried then, nor when the solve
     on ``H`` for the escape direction fails. Non-convergence within
-    ``max_iters`` power steps is reported, not raised."""
+    ``max_iters`` power steps (at least 1) is reported, not raised."""
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if x0 is not None and data.n != x0.n:
         raise ValueError("matrix and starting point sizes disagree")
     if signal is not None and signal.n != data.n:
@@ -245,7 +240,7 @@ def solve_second_order(
     if n < 2:
         raise ValueError(f"the verdict needs n >= 2, got a {n} x {n} matrix")
     cmat = data.mat
-    tol = opts.grad_tol * n
+    tol = GRAD_TOL * n
     shift, top = _spectrum(data)
     if x0 is None:
         x0 = _round_phases(_top_vector(data, top))
@@ -282,7 +277,7 @@ def solve_second_order(
                 x, w, xc, wx, e, y, r = work(signal.vec)
                 restarted = True
                 continue
-            if escapes < opts.max_escapes:
+            if escapes < MAX_ESCAPES:
                 point = PhaseVector(x)
                 report, s = _certificate(data, point, a, e)
                 direction = None
@@ -303,7 +298,7 @@ def solve_second_order(
                 cert = report
             converged = True
             break
-        if iterations >= opts.max_iters:
+        if iterations >= max_iters:
             break
         np.add(w, np.multiply(shift, x, out=y), out=y)
         np.abs(y, out=r)

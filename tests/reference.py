@@ -10,7 +10,7 @@ read a spectral norm (the package decides its norm bound by factorization).
 The torus derivatives of ``g(x) = -x* C x`` (:func:`riemannian_grad`,
 :func:`hessian_vec`, through :func:`project_tangent`) are written as
 projections of ambient derivatives, independently of the certificate form
-the solver evaluates.
+the solver evaluates. Tangent vectors are plain ambient arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from phasesync.hermitian import HermitianMatrix, smallest_eigvals
-from phasesync.manifold import TangentVector
 from phasesync.model import PhaseVector
 
 
@@ -91,17 +90,17 @@ def quad_form(h: HermitianMatrix, vec) -> float:
     return q.real
 
 
-def project_tangent(point: PhaseVector, vec) -> TangentVector:
+def project_tangent(point: PhaseVector, vec) -> np.ndarray:
     """Orthogonal projection onto the tangent space at ``point``:
     subtract from each entry its radial component ``Re(v_i xbar_i) x_i``."""
     v = np.asarray(vec, dtype=np.complex128)
     if v.shape != (point.n,):
         raise ValueError(f"vector shape {v.shape} does not match point size {point.n}")
     x = point.vec
-    return TangentVector(point, v - (v * x.conj()).real * x)
+    return v - (v * x.conj()).real * x
 
 
-def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> TangentVector:
+def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> np.ndarray:
     """Riemannian gradient of ``g(x) = -x* C x`` at ``point``: the tangent
     projection of the ambient gradient ``-2 C x``."""
     if data.n != point.n:
@@ -109,16 +108,12 @@ def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> TangentVector:
     return project_tangent(point, -2.0 * (data.mat @ point.vec))
 
 
-def hessian_vec(data: HermitianMatrix, point: PhaseVector,
-                tangent: TangentVector) -> TangentVector:
-    """Riemannian Hessian of ``g(x) = -x* C x`` applied to a tangent vector:
-    ``Proj_x(2 S v)`` with ``S = Re diag(C x xbar) - C``."""
+def hessian_vec(data: HermitianMatrix, point: PhaseVector, d) -> np.ndarray:
+    """Riemannian Hessian of ``g(x) = -x* C x`` applied to a tangent vector
+    ``d`` at ``point``: ``Proj_x(2 S d)`` with ``S = Re diag(C x xbar) - C``."""
     if data.n != point.n:
         raise ValueError("matrix and point sizes disagree")
-    if tangent.base is not point and not np.array_equal(tangent.base.vec, point.vec):
-        raise ValueError("tangent vector is based at a different point")
     x = point.vec
-    d = tangent.dir
     r = ((data.mat @ x) * x.conj()).real
     return project_tangent(point, 2.0 * (r * d - data.mat @ d))
 

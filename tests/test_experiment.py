@@ -17,7 +17,9 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync import certificate, experiment, hermitian, model
 from phasesync.certificate import RANK_TOL, build_certificate, certify, verdict
-from phasesync.model import PhaseVector, assemble_instance, trial_seed
+from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
+                             trial_seed)
+from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
 
 from reference import quad_form
@@ -71,19 +73,15 @@ out = g.csv
         assert cfg.sigmas[2] / cfg.sigmas[1] == pytest.approx(r)
 
     def test_solver_and_tolerance_keys(self, tmp_path):
-        text = BASE_CFG.format(out="g.csv") + """
-grad_tol = 1e-9
-max_iters = 1234
-max_escapes = 2
-"""
+        text = BASE_CFG.format(out="g.csv") + "max_iters = 1234\n"
         cfg = parse_grid_config(_write_config(tmp_path, text))
-        assert cfg.solver.grad_tol == 1e-9
-        assert cfg.solver.max_iters == 1234
-        assert cfg.solver.max_escapes == 2
-        # The certificate gates and the curvature floor are fixed constants,
-        # not config keys.
-        for line in ("residual_tol = 1e-8", "psd_tol = -1e-13", "rank_tol = 1e-7",
-                     "escape_tol = 1e-10"):
+        assert cfg.max_iters == 1234
+        assert parse_grid_config(_write_config(tmp_path, BASE_CFG.format(out="g.csv"))
+                                 ).max_iters == 500
+        # The solver's tolerances, the certificate gates and the curvature
+        # floor are fixed constants, not config keys.
+        for line in ("grad_tol = 1e-9", "max_escapes = 2", "residual_tol = 1e-8",
+                     "psd_tol = -1e-13", "rank_tol = 1e-7", "escape_tol = 1e-10"):
             bad = _write_config(tmp_path, BASE_CFG.format(out="g.csv") + line + "\n")
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_grid_config(bad)
@@ -126,12 +124,13 @@ out = g.csv
             parse_grid_config(_write_config(tmp_path, text))
 
     def test_bad_solver_value_rejected(self, tmp_path):
-        text = BASE_CFG.format(out="g.csv") + "grad_tol = -1\n"
-        with pytest.raises(ConfigError):
+        text = BASE_CFG.format(out="g.csv") + "max_iters = 0\n"
+        with pytest.raises(ConfigError, match="max_iters"):
             parse_grid_config(_write_config(tmp_path, text))
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_grad_tol_rejected(self, tmp_path, bad):
+        # grad_tol is a solver constant: the key is unknown, whatever its value.
         text = BASE_CFG.format(out="g.csv") + f"grad_tol = {bad}\n"
         with pytest.raises(ConfigError, match="grad_tol"):
             parse_grid_config(_write_config(tmp_path, text))
@@ -159,8 +158,11 @@ class TestTrialRecords:
     def test_detailed_variant_exposes_instance(self):
         rec, inst, solver_rep = run_trial_detailed(20, 0.4, seed=3)
         assert inst.n == 20
-        assert np.array_equal(solver_rep.x.vec, solver_rep.x.vec)
-        assert rec.cost_x == pytest.approx(solver_rep.cost)
+        assert np.array_equal(inst.W.mat, sample_wigner(20, 3).mat)
+        assert np.array_equal(inst.z.vec, random_signal(20, 3).vec)
+        alone = solve_second_order(inst.C, signal=inst.z)
+        assert solver_rep.x.vec.tobytes() == alone.x.vec.tobytes()
+        assert rec.cost_x == solver_rep.cost == alone.cost
 
     @pytest.mark.parametrize("n, sigma, seed", [(20, 0.4, 3), (60, 2.0, 11), (25, 8.0, 4)])
     def test_complex_trial_cost_is_planted_quadratic_form(self, n, sigma, seed):

@@ -1,10 +1,15 @@
+"""Geometry of the torus: the reference derivatives of ``-x* C x``, the
+solver's retraction, and global phase alignment. Tangent vectors are plain
+ambient arrays."""
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.manifold import AlignmentError, TangentVector, align_global_phase, retract
+from phasesync.metrics import AlignmentError, align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
+from phasesync.solver import _retract
 
 from reference import (hessian_vec, min_phase_distance, project_tangent, quad_form, real_inner,
                        riemannian_grad)
@@ -30,21 +35,22 @@ def _objective(data, pv):
 
 
 class TestTangentVector:
+    # A tangent vector is a plain array with no radial part; the reference
+    # projection is how the tests make one.
     def test_accepts_projected(self):
         x = _point(6, 1)
         t = project_tangent(x, _raw_vec(6, 1))
-        assert t.dir.shape == (6,)
-        assert not t.dir.flags.writeable
+        assert t.shape == (6,)
+        assert np.abs((t * x.vec.conj()).real).max() <= 1e-12
 
     def test_rejects_radial(self):
         x = _point(4, 2)
-        with pytest.raises(ValueError, match="not tangent"):
-            TangentVector(x, x.vec.copy())
+        assert np.abs(project_tangent(x, 2.5 * x.vec)).max() <= 1e-15
 
     def test_rejects_shape_mismatch(self):
         x = _point(4, 2)
         with pytest.raises(ValueError):
-            TangentVector(x, np.zeros(5, dtype=complex))
+            project_tangent(x, np.zeros(5, dtype=complex))
 
 
 class TestProjection:
@@ -53,8 +59,8 @@ class TestProjection:
         x = _point(8, seed)
         v = _raw_vec(8, seed)
         once = project_tangent(x, v)
-        twice = project_tangent(x, once.dir)
-        assert np.abs(once.dir - twice.dir).max() <= 1e-12 * max(1.0, np.abs(v).max())
+        twice = project_tangent(x, once)
+        assert np.abs(once - twice).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
     @given(st.integers(0, 2**31 - 1))
     def test_orthogonal_complement(self, seed):
@@ -62,16 +68,16 @@ class TestProjection:
         x = _point(8, seed)
         v = _raw_vec(8, seed)
         p = project_tangent(x, v)
-        radial = v - p.dir
+        radial = v - p
         u = project_tangent(x, _raw_vec(8, seed + 1))
-        budget = 1e-10 * np.linalg.norm(v) * max(1.0, np.linalg.norm(u.dir))
-        assert abs(real_inner(radial, u.dir)) <= budget
+        budget = 1e-10 * np.linalg.norm(v) * max(1.0, np.linalg.norm(u))
+        assert abs(real_inner(radial, u)) <= budget
 
     @given(st.integers(0, 2**31 - 1))
     def test_nonexpansive(self, seed):
         x = _point(8, seed)
         v = _raw_vec(8, seed)
-        assert np.linalg.norm(project_tangent(x, v).dir) <= np.linalg.norm(v) + 1e-12
+        assert np.linalg.norm(project_tangent(x, v)) <= np.linalg.norm(v) + 1e-12
 
     def test_entrywise_formula(self):
         x = _point(5, 9)
@@ -79,21 +85,22 @@ class TestProjection:
         p = project_tangent(x, v)
         for i in range(5):
             expect = v[i] - (v[i] * x.vec[i].conj()).real * x.vec[i]
-            assert abs(p.dir[i] - expect) < 1e-15 * max(1.0, abs(v[i]))
+            assert abs(p[i] - expect) < 1e-15 * max(1.0, abs(v[i]))
 
 
 class TestRetraction:
     def test_stays_on_torus(self):
         x = _point(10, 3)
         t = project_tangent(x, _raw_vec(10, 3))
-        y = retract(x, t, 0.3)
+        y = _retract(x.vec, t, 0.3)
         assert np.abs(np.abs(y.vec) - 1.0).max() <= 1e-12
 
     def test_zero_step_fixes_point(self):
+        # A zero step renormalizes x itself, which moves it by rounding only.
         x = _point(10, 4)
         t = project_tangent(x, _raw_vec(10, 4))
-        y = retract(x, t, 0.0)
-        assert np.array_equal(y.vec, x.vec)
+        y = _retract(x.vec, t, 0.0)
+        assert np.abs(y.vec - x.vec).max() <= 1e-15
 
     def test_second_order_agreement_with_line(self):
         # ||R(x, t v) - (x + t v)|| = O(t^2): the exponent read off two step
@@ -102,33 +109,19 @@ class TestRetraction:
         t = project_tangent(x, _raw_vec(12, 5))
         gaps = {}
         for step in (1e-2, 1e-3):
-            y = retract(x, t, step)
-            gaps[step] = np.linalg.norm(y.vec - (x.vec + step * t.dir))
-            assert gaps[step] <= step**2 * np.linalg.norm(t.dir) ** 2
+            y = _retract(x.vec, t, step)
+            gaps[step] = np.linalg.norm(y.vec - (x.vec + step * t))
+            assert gaps[step] <= step**2 * np.linalg.norm(t) ** 2
         exponent = np.log(gaps[1e-2] / gaps[1e-3]) / np.log(10.0)
         assert 1.9 <= exponent <= 2.1
 
     def test_degenerate_entry_rejected(self):
-        # A non-tangent direction can null out an entry; build one through
-        # the raw constructor bypass by using a tangent direction scaled so
-        # x + t v stays clear, then check the validation on the nearly-zero
-        # case via a crafted base/direction pair.
+        # No tangent step meets a degenerate entry: for d = i x o theta,
+        # |x_i + s d_i|^2 = 1 + s^2 theta_i^2. Even a huge step comes back to
+        # the torus, and the unit-modulus check of its PhaseVector holds.
         x = PhaseVector(np.array([1.0 + 0j, 1.0 + 0j]))
-        t = TangentVector(x, np.array([1j, -1j]))
-        # |1 + s*1j| never vanishes for tangent directions; the degenerate
-        # branch needs a direction with a radial component, which the type
-        # forbids. So the error path is only reachable through step sizes
-        # that overflow to zero modulus numerically; verify the guard stays
-        # silent on honest input instead.
-        y = retract(x, t, 1e3)
+        y = _retract(x.vec, np.array([1j, -1j]), 1e3)
         assert np.abs(np.abs(y.vec) - 1.0).max() <= 1e-12
-
-    def test_base_mismatch_rejected(self):
-        x = _point(4, 6)
-        other = _point(4, 7)
-        t = project_tangent(x, _raw_vec(4, 6))
-        with pytest.raises(ValueError, match="different point"):
-            retract(other, t, 0.1)
 
 
 class TestGradient:
@@ -136,8 +129,8 @@ class TestGradient:
         data = _data(9, 0)
         x = _point(9, 1)
         g = riemannian_grad(data, x)
-        radial = (g.dir * x.vec.conj()).real
-        assert np.abs(radial).max() <= 1e-10 * max(1.0, np.abs(g.dir).max())
+        radial = (g * x.vec.conj()).real
+        assert np.abs(radial).max() <= 1e-10 * max(1.0, np.abs(g).max())
 
     def test_finite_difference_directional(self):
         data = _data(9, 2)
@@ -146,12 +139,12 @@ class TestGradient:
         step = 1e-6
         for k in range(10):
             v = project_tangent(x, _raw_vec(9, 100 + k))
-            if np.linalg.norm(v.dir) < 1e-12:
+            if np.linalg.norm(v) < 1e-12:
                 continue
-            fp = _objective(data, retract(x, v, step))
-            fm = _objective(data, retract(x, v, -step))
+            fp = _objective(data, _retract(x.vec, v, step))
+            fm = _objective(data, _retract(x.vec, v, -step))
             fd = (fp - fm) / (2.0 * step)
-            ip = real_inner(g.dir, v.dir)
+            ip = real_inner(g, v)
             assert abs(fd - ip) <= 1e-6 * max(1.0, abs(ip))
 
     def test_vanishes_at_planted_optimum_noiseless(self):
@@ -159,7 +152,7 @@ class TestGradient:
         w = sample_wigner(14, 8)
         data = assemble_instance(z, w, 0.0, 8).C
         g = riemannian_grad(data, z)
-        assert np.linalg.norm(g.dir) <= 1e-12 * 14
+        assert np.linalg.norm(g) <= 1e-12 * 14
 
     @given(st.integers(0, 2**31 - 1))
     def test_phase_equivariance(self, seed):
@@ -169,7 +162,7 @@ class TestGradient:
         xr = PhaseVector(x.vec * np.exp(1.3j))
         g = riemannian_grad(data, x)
         gr = riemannian_grad(data, xr)
-        assert np.linalg.norm(gr.dir) == pytest.approx(np.linalg.norm(g.dir),
+        assert np.linalg.norm(gr) == pytest.approx(np.linalg.norm(g),
                                                        rel=1e-10, abs=1e-12)
 
 
@@ -179,16 +172,16 @@ class TestHessian:
         x = _point(8, 5)
         v = project_tangent(x, _raw_vec(8, 6))
         h = hessian_vec(data, x, v)
-        radial = (h.dir * x.vec.conj()).real
-        assert np.abs(radial).max() <= 1e-10 * max(1.0, np.abs(h.dir).max())
+        radial = (h * x.vec.conj()).real
+        assert np.abs(radial).max() <= 1e-10 * max(1.0, np.abs(h).max())
 
     def test_symmetry_of_bilinear_form(self):
         data = _data(8, 7)
         x = _point(8, 8)
         u = project_tangent(x, _raw_vec(8, 9))
         v = project_tangent(x, _raw_vec(8, 10))
-        left = real_inner(u.dir, hessian_vec(data, x, v).dir)
-        right = real_inner(v.dir, hessian_vec(data, x, u).dir)
+        left = real_inner(u, hessian_vec(data, x, v))
+        right = real_inner(v, hessian_vec(data, x, u))
         assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
 
     def test_finite_difference_of_gradient(self):
@@ -197,15 +190,15 @@ class TestHessian:
         step = 1e-5
         for k in range(5):
             v = project_tangent(x, _raw_vec(9, 200 + k))
-            if np.linalg.norm(v.dir) < 1e-12:
+            if np.linalg.norm(v) < 1e-12:
                 continue
-            unit = TangentVector(x, v.dir / np.linalg.norm(v.dir))
+            unit = v / np.linalg.norm(v)
             hv = hessian_vec(data, x, unit)
-            gp = riemannian_grad(data, retract(x, unit, step))
-            gm = riemannian_grad(data, retract(x, unit, -step))
+            gp = riemannian_grad(data, _retract(x.vec, unit, step))
+            gm = riemannian_grad(data, _retract(x.vec, unit, -step))
             # Transport the neighboring gradients back by projection.
-            fd = (project_tangent(x, gp.dir).dir - project_tangent(x, gm.dir).dir) / (2.0 * step)
-            rel = np.linalg.norm(fd - hv.dir) / max(1.0, np.linalg.norm(hv.dir))
+            fd = (project_tangent(x, gp) - project_tangent(x, gm)) / (2.0 * step)
+            rel = np.linalg.norm(fd - hv) / max(1.0, np.linalg.norm(hv))
             assert rel <= 1e-5
 
     def test_linearity(self):
@@ -213,9 +206,8 @@ class TestHessian:
         x = _point(7, 14)
         u = project_tangent(x, _raw_vec(7, 15))
         v = project_tangent(x, _raw_vec(7, 16))
-        comb = TangentVector(x, 2.0 * u.dir - 0.5 * v.dir)
-        lhs = hessian_vec(data, x, comb).dir
-        rhs = 2.0 * hessian_vec(data, x, u).dir - 0.5 * hessian_vec(data, x, v).dir
+        lhs = hessian_vec(data, x, 2.0 * u - 0.5 * v)
+        rhs = 2.0 * hessian_vec(data, x, u) - 0.5 * hessian_vec(data, x, v)
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
 
 

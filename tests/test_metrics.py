@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.manifold import AlignmentError
-from phasesync.metrics import (evaluate_bounds, l2_error, linf_error,
+from phasesync import model
+from phasesync.metrics import (AlignmentError, evaluate_bounds, l2_error, linf_error,
                                sufficient_noise_condition, tightness_threshold)
 from phasesync.model import (PhaseVector, assemble_instance, is_discordant, random_signal,
                              sample_wigner)
@@ -134,6 +134,24 @@ class TestEvaluateBounds:
         assert bounds.wx_bound == pytest.approx(
             36.0 * 0.4 * math.sqrt(50) + 3.0 * math.sqrt(50 * math.log(50)))
         assert bounds.wx_inf == pytest.approx(float(np.abs(inst.W.mat @ inst.z.vec).max()))
+
+    def test_wx_bound_reads_the_discordance_constants(self, monkeypatch):
+        # wx_bound is ||W|| <= OPNORM_CONST sqrt(n) times the lemma-2 distance
+        # 12 sigma, plus INF_CONST sqrt(n log n): the two events is_discordant
+        # gates on, so the two move together.
+        n, sigma = 50, 0.4
+        inst = _instance(n, sigma, 8)
+        bounds = _bounds(inst, inst.z)
+        assert bounds.wx_bound == 36.0 * sigma * math.sqrt(n) + 3.0 * math.sqrt(n * math.log(n))
+        for consts in ((0.01, 0.01), (30.0, 7.0)):
+            monkeypatch.setattr(model, "OPNORM_CONST", consts[0])
+            monkeypatch.setattr(model, "INF_CONST", consts[1])
+            disc = is_discordant(inst.W, inst.z)
+            bounds = _bounds(inst, inst.z)
+            assert bounds.wx_bound == pytest.approx(
+                12.0 * sigma * disc.opnorm_bound + disc.inf_bound, rel=1e-14)
+            # At the plant, W x is W z, whose norm is the second event.
+            assert bounds.wx_ok == disc.discordant == (consts[0] == 30.0)
 
     def test_correlation_field(self):
         inst = _instance(25, 0.5, 11)

@@ -1,12 +1,16 @@
 """The public surface holds only code the package runs: every function in
 ``phasesync.__all__`` is reached from the ``phasesync`` command's entry
-point, ``cli.main``, through the package's own code, not only from tests."""
+point, ``cli.main``, through the package's own code, not only from tests.
+What a user can set is pinned too, so a new knob means editing this file."""
 
+import argparse
 import ast
 import inspect
 from pathlib import Path
 
 import phasesync
+from phasesync import experiment
+from phasesync.cli import build_parser
 
 
 def _definitions() -> dict[str, set[str]]:
@@ -41,3 +45,17 @@ def test_every_public_function_runs_from_the_command_line_entry_point():
     unreached = [name for name in phasesync.__all__
                  if inspect.isfunction(getattr(phasesync, name)) and name not in reached]
     assert unreached == []
+
+
+def test_the_settable_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    solve_flags = [opt for action in sub.choices["solve"]._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for opt in action.option_strings]
+    assert solve_flags == ["--n", "--sigma", "--seed", "--dump-instance", "--dump-x",
+                           "--max-iters"]
+    assert experiment._GRID_KEYS == {"case", "n_values", "sigma_list", "sigma_min",
+                                     "sigma_max", "sigma_count", "reps", "seed_base",
+                                     "workers", "out", "max_iters"}
+    assert list(inspect.signature(phasesync.solve_second_order).parameters) == [
+        "data", "x0", "signal", "max_iters"]

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from phasesync import solver
 from phasesync.certificate import build_certificate, certify, verdict
 from phasesync.hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
-from phasesync.manifold import TangentVector, align_global_phase
+from phasesync.metrics import align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import (ESCAPE_TOL, SolverOptions, _negative_curvature, _round_phases,
-                              _spectrum, _top_vector, solve_second_order)
+from phasesync.solver import (ESCAPE_TOL, _negative_curvature, _round_phases, _spectrum,
+                              _top_vector, solve_second_order)
 
 from reference import hessian_vec, power_iterates, quad_form, real_inner
 
@@ -48,7 +49,7 @@ def _tangent_hessian_min_eig(data, point):
     # from hessian_vec as the entries <i x_j e_j, Hess(i x_k e_k)> / 2.
     basis = 1j * np.diag(point.vec)
     cols = np.column_stack([
-        hessian_vec(data, point, TangentVector(point, basis[:, k])).dir
+        hessian_vec(data, point, basis[:, k])
         for k in range(point.n)
     ])
     h = (basis.conj().T @ cols).real / 2.0
@@ -57,23 +58,17 @@ def _tangent_hessian_min_eig(data, point):
 
 class TestOptions:
     def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.grad_tol == 1e-10
-        assert opts.max_iters == 500
-        assert opts.max_escapes == 5
+        # max_iters is the one value a caller sets; the rest are constants.
+        assert solver.GRAD_TOL == 1e-10
+        assert solver.MAX_ITERS == 500
+        assert solver.MAX_ESCAPES == 5
+        assert inspect.signature(solve_second_order).parameters["max_iters"].default == 500
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_escapes=-1)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_grad_tol_rejected(self, bad):
-        with pytest.raises(ValueError, match="grad_tol"):
-            SolverOptions(grad_tol=bad)
+        inst = _instance(6, 0.5, 1)
+        for bad in (0, -1, math.nan):
+            with pytest.raises(ValueError, match="max_iters"):
+                solve_second_order(inst.C, max_iters=bad)
 
 
 def _watch(monkeypatch, name):
@@ -215,14 +210,13 @@ class TestModerateNoise:
 
     def test_iteration_budget_reported_not_raised(self):
         inst = _instance(50, 3.0, 9)
-        rep = solve_second_order(inst.C, None, signal=inst.z,
-                                 opts=SolverOptions(max_iters=2))
+        rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=2)
         assert not rep.converged
         assert rep.iterations == 2
         assert rep.grad_norm > 1e-10 * 50
 
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
-    def test_iterates_match_the_plain_power_loop_bit_for_bit(self, sigma):
+    def test_iterates_match_the_plain_power_loop_bit_for_bit(self, monkeypatch, sigma):
         # The loop reuses its half gradient, fills preallocated arrays in
         # place and skips the small-modulus guard when no entry needs it;
         # none of this may change a bit of any iterate. The shift comes from
@@ -231,15 +225,15 @@ class TestModerateNoise:
         inst = _instance(n, sigma, 17)
         x0 = _spectral_start(inst.C)
         shift = max(0.0, -float(smallest_eigvals(inst.C, 1)[0]))
+        monkeypatch.setattr(solver, "GRAD_TOL", 1e-300)
         for budget in (1, 7, 40):
-            rep = solve_second_order(inst.C, x0, opts=SolverOptions(grad_tol=1e-300,
-                                                                    max_iters=budget))
+            rep = solve_second_order(inst.C, x0, max_iters=budget)
             x, grad_norm = power_iterates(inst.C.mat, x0.vec, shift, budget)
             assert rep.iterations == budget
             assert rep.x.vec.tobytes() == x.tobytes()
             assert rep.grad_norm == grad_norm
 
-    def test_guarded_step_matches_the_plain_power_loop_bit_for_bit(self):
+    def test_guarded_step_matches_the_plain_power_loop_bit_for_bit(self, monkeypatch):
         # min_eig(C) = 0 and (C x)_1 = 0, so the first step leaves x_1 at its
         # previous phase through the small-modulus guard; the gradient is
         # not zero, so the step runs.
@@ -248,13 +242,14 @@ class TestModerateNoise:
         x0 = PhaseVector(np.array([1.0, 1.0, 1.0j]))
         shift = max(0.0, -float(smallest_eigvals(data, 1)[0]))
         assert abs((data.mat @ x0.vec)[0] + shift) <= 1e-14
+        monkeypatch.setattr(solver, "GRAD_TOL", 1e-300)
         for budget in (1, 5):
-            rep = solve_second_order(data, x0, opts=SolverOptions(grad_tol=1e-300,
-                                                                  max_iters=budget))
+            rep = solve_second_order(data, x0, max_iters=budget)
             x, grad_norm = power_iterates(data.mat, x0.vec, shift, budget)
             assert rep.x.vec.tobytes() == x.tobytes()
             assert rep.grad_norm == grad_norm
-        assert solve_second_order(data, x0, opts=SolverOptions(max_iters=1)).x.vec[0] == 1.0
+        monkeypatch.undo()
+        assert solve_second_order(data, x0, max_iters=1).x.vec[0] == 1.0
 
     def test_monotone_cost_across_budgets(self):
         # The power iteration never decreases the objective, so cost as a
@@ -262,7 +257,7 @@ class TestModerateNoise:
         inst = _instance(40, 2.0, 12)
         costs = []
         for budget in (1, 2, 4, 8, 16, 32, 64):
-            rep = solve_second_order(inst.C, None, opts=SolverOptions(max_iters=budget))
+            rep = solve_second_order(inst.C, None, max_iters=budget)
             costs.append(rep.cost)
         diffs = np.diff(costs)
         assert np.all(diffs >= -1e-9 * 40 * 40)
@@ -283,8 +278,7 @@ class TestRestartFromPlanted:
         # the planted signal; the restart rule guarantees the report does not.
         for seed in range(5):
             inst = _instance(30, 6.0, seed)
-            rep = solve_second_order(inst.C, None, signal=inst.z,
-                                     opts=SolverOptions(max_iters=20000))
+            rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=20000)
             if rep.converged:
                 assert rep.beat_planted is True
                 assert rep.cost >= quad_form(inst.C, inst.z.vec) - 1e-12 * 30 * 30
@@ -303,8 +297,7 @@ class TestRestartFromPlanted:
         planted = quad_form(inst.C, inst.z.vec)
         flags = []
         for x0, max_iters in ((None, 500), (random_signal(n, 999), 1)):
-            rep = solve_second_order(inst.C, x0, signal=inst.z,
-                                     opts=SolverOptions(max_iters=max_iters))
+            rep = solve_second_order(inst.C, x0, signal=inst.z, max_iters=max_iters)
             assert rep.beat_planted == (rep.cost >= planted - 1e-12 * n * n)
             flags.append(rep.beat_planted)
         assert flags == [True, False]
@@ -324,8 +317,8 @@ class TestEscape:
         data, x = _saddle_pair()
         d = _escape_direction(data, x)
         assert d is not None
-        assert np.linalg.norm(d.dir) == pytest.approx(1.0, abs=1e-12)
-        curv = real_inner(d.dir, hessian_vec(data, x, d).dir)
+        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        curv = real_inner(d, hessian_vec(data, x, d))
         # The bottom eigenvalue of H = S = [[-1, 1], [1, -1]] is -2.
         assert curv == pytest.approx(-4.0, abs=1e-12)
 
@@ -342,9 +335,10 @@ class TestEscape:
         assert rep.escapes >= 1
         assert rep.cost == pytest.approx(4.0, abs=1e-9)
 
-    def test_escape_cap_respected(self):
+    def test_escape_cap_respected(self, monkeypatch):
         data, x = _saddle_pair()
-        rep = solve_second_order(data, x, opts=SolverOptions(max_escapes=0))
+        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
+        rep = solve_second_order(data, x)
         # With escapes disabled the saddle is declared converged at cost 0.
         assert rep.converged
         assert rep.escapes == 0
@@ -437,17 +431,20 @@ class TestSharedDecompositions:
     verdict and escape test, and an eigenvector solve only to escape. A run
     that ends without a verdict reports certify's."""
 
-    def test_default_start_is_spectral_init(self):
+    def test_default_start_is_spectral_init(self, monkeypatch):
         inst = _instance(40, 1.0, 5)
         x0 = _spectral_start(inst.C)
         # A tolerance this loose declares the start itself critical, and with
         # escapes off the solver returns it untouched.
-        rep = solve_second_order(inst.C, None, opts=SolverOptions(grad_tol=1e6, max_escapes=0))
+        monkeypatch.setattr(solver, "GRAD_TOL", 1e6)
+        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
+        rep = solve_second_order(inst.C, None)
         assert rep.iterations == 0
         assert np.array_equal(rep.x.vec, x0.vec)
-        for opts in (SolverOptions(max_iters=1), SolverOptions()):
-            a = solve_second_order(inst.C, None, signal=inst.z, opts=opts)
-            b = solve_second_order(inst.C, x0, signal=inst.z, opts=opts)
+        monkeypatch.undo()
+        for max_iters in (1, solver.MAX_ITERS):
+            a = solve_second_order(inst.C, None, signal=inst.z, max_iters=max_iters)
+            b = solve_second_order(inst.C, x0, signal=inst.z, max_iters=max_iters)
             assert a.iterations == b.iterations
             assert np.array_equal(a.x.vec, b.x.vec)
 
@@ -460,7 +457,7 @@ class TestSharedDecompositions:
 
     def test_certificate_of_unconverged_run(self):
         inst = _instance(50, 3.0, 9)
-        rep = solve_second_order(inst.C, None, signal=inst.z, opts=SolverOptions(max_iters=1))
+        rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=1)
         assert not rep.converged
         assert rep.certificate == certify(inst.C, rep.x)
         assert not rep.certificate.tight
@@ -472,9 +469,10 @@ class TestSharedDecompositions:
         _assert_proved_like_certify(data, rep)
         assert rep.certificate.tight and rep.certificate.unique
 
-    def test_certificate_with_escape_cap_spent(self):
+    def test_certificate_with_escape_cap_spent(self, monkeypatch):
         data, x = _saddle_pair()
-        rep = solve_second_order(data, x, opts=SolverOptions(max_escapes=0))
+        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
+        rep = solve_second_order(data, x)
         assert rep.certificate == certify(data, rep.x)
         assert not rep.certificate.tight
 
