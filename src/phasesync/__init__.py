@@ -11,7 +11,7 @@ from .model import (DiscordanceReport, PhaseVector, SyncInstance, TailStats,
                     assemble_instance, is_discordant, noise_tail_stats,
                     philox_stream, random_signal, sample_wigner, trial_seed)
 from .solver import SolverReport, solve_second_order
-from .z2 import SignVector, random_signs, real_certificate, sample_real_wigner
+from .z2 import SignVector, random_signs, sample_real_wigner
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,7 @@ __all__ = [
     "SolverReport", "SyncInstance", "TailStats", "align_global_phase",
     "assemble_instance", "build_certificate", "certify", "evaluate_bounds",
     "extreme_eigs", "is_discordant", "l2_error", "linf_error", "noise_tail_stats",
-    "philox_stream", "random_signal", "random_signs", "real_certificate",
+    "philox_stream", "random_signal", "random_signs",
     "sample_real_wigner", "sample_wigner", "solve_second_order",
     "sufficient_noise_condition", "tightness_threshold", "trial_seed",
 ]

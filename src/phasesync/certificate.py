@@ -9,21 +9,21 @@ addition the second smallest eigenvalue is strictly positive, ``S`` has rank
 ``n - 1`` and ``x x*`` is the unique solution.
 
 :func:`verdict` makes that test for any certificate from its eigenvalues,
-and :func:`certify`, the public entry point, runs it. The trial paths try
-:func:`proved_verdict` first: one Cholesky factorization that proves
-tightness and uniqueness without an eigensolve, with :func:`verdict` run
-only when the proof fails. ``z2.planted_verdict`` does so at the planted
-signs of the real case, and the solver at its own estimate.
+and :func:`certify`, the public entry point, runs it on a stored estimate.
+Every trial's verdict comes from :func:`decide` instead: one Cholesky
+factorization that proves tightness and uniqueness without an eigensolve,
+and :func:`verdict` only when the proof fails. The solver calls it at its
+own estimate, and ``z2.planted_verdict`` at the planted signs of the real
+case.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
+from .hermitian import EigensolverError, HermitianMatrix, cholesky_charge, smallest_eigvals
 from .model import PhaseVector
 
 # Certificate gates, each scaled by n; see :class:`CertificateReport`.
@@ -44,7 +44,7 @@ class CertificateReport:
     diagonal entry of ``S``, a cheap necessary sanity value: at any
     second-order critical point it should not be substantially negative.
     ``error`` carries an eigensolver failure note; both flags are false then.
-    A report from :func:`proved_verdict` carries bounds instead of
+    A report proved by :func:`decide` carries bounds instead of
     eigenvalues: ``min_eig`` is a lower bound on the smallest and
     ``second_eig`` the floor ``RANK_TOL * n`` under the second.
     """
@@ -70,15 +70,14 @@ def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMat
     return HermitianMatrix(s)
 
 
-def verdict(s: HermitianMatrix, kernel: np.ndarray) -> CertificateReport:
-    """Test tightness and uniqueness of a certificate ``s`` built at the
-    candidate ``kernel``, which ``s`` should annihilate, against the fixed
+def verdict(s: HermitianMatrix, residual: float) -> CertificateReport:
+    """Test tightness and uniqueness of a certificate ``s`` whose residual
+    ``||S x||`` at its candidate ``x`` is ``residual``, against the fixed
     gates ``RESIDUAL_TOL``, ``PSD_TOL`` and ``RANK_TOL`` (see
     :class:`CertificateReport`). They read eigenvalues only, from one
     values-only solve (:func:`smallest_eigvals`). Eigensolver failure is
     reported in-band via ``error`` with both flags false."""
     n = s.n
-    residual = float(np.linalg.norm(s.mat @ kernel))
     diag_min = float(np.min(np.diag(s.mat).real))
     try:
         min_eig, second_eig = (float(v) for v in smallest_eigvals(s, 2))
@@ -95,55 +94,53 @@ def verdict(s: HermitianMatrix, kernel: np.ndarray) -> CertificateReport:
     )
 
 
-def proved_verdict(kernel: np.ndarray, diag: np.ndarray,
-                   assemble: Callable[[], tuple[np.ndarray, np.ndarray]]
-                   ) -> CertificateReport | None:
-    """Tight-and-unique verdict on the certificate ``S`` at the unit-modulus
-    candidate ``kernel`` (``x``), proved by one Cholesky factorization, or
-    None when the proof fails.
+def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
+           ) -> tuple[CertificateReport, HermitianMatrix | None]:
+    """The verdict on the certificate ``S`` at the unit-modulus candidate
+    ``x``, and ``S`` itself unless a proof decided it.
 
-    With ``tau = RANK_TOL * n``, let ``T = S + x x* - tau I``; ``diag`` is its
-    diagonal, and ``assemble()`` returns ``T`` itself with ``e = S x``. A
-    diagonal entry at or below 0 shows that ``T`` is not positive definite,
-    so nothing is assembled then. If ``T`` factorizes, it is positive
-    definite (Rump 2006, "Verification of positive definiteness"), and
-    interlacing under the rank-one update gives
-    ``lambda_2(S) >= lambda_1(S + x x*) > tau``. The Kato-Temple inequality at
-    the unit vector ``x / sqrt(n)``, with Rayleigh quotient ``rho = x* e / n``
-    and residual ``r^2 = ||e - rho x||^2 / n``, then bounds
-    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. The proof holds when the
-    residual ``||e||`` clears ``RESIDUAL_TOL * n`` (which keeps ``rho`` below
-    ``tau``), the factorization succeeds and that bound clears
-    ``PSD_TOL * n``. The report then carries the bound as ``min_eig`` and
-    the proved floor ``tau`` as ``second_eig``, not the eigenvalues
-    themselves, and ``diag_min`` is ``min(diag) + tau - 1``, the smallest
-    diagonal entry of ``S`` to rounding. A failed proof decides nothing:
-    the caller runs :func:`verdict`.
+    ``t`` is ``T = S + x x* - tau I`` (``tau = RANK_TOL * n``), writable, with
+    a real diagonal, and ``e`` is ``S x``. When every diagonal entry of ``T``
+    is positive and ``||e||`` clears ``RESIDUAL_TOL * n``, ``T - c I`` is
+    factorized with the rounding charge ``c`` of :func:`cholesky_charge`.
+    Success proves ``T`` positive definite (Rump 2006), and interlacing under
+    the rank-one update gives ``lambda_2(S) >= lambda_1(S + x x*) > tau``.
+    The Kato-Temple inequality at ``x / sqrt(n)``, with Rayleigh quotient
+    ``rho = x* e / n`` (below ``tau`` by the residual gate) and residual
+    ``r^2 = ||e - rho x||^2 / n``, bounds
+    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. If that bound clears
+    ``PSD_TOL * n`` the point is proved tight and unique: the report carries
+    the bound as ``min_eig``, ``tau`` as ``second_eig`` and
+    ``min(diag T) + tau - 1``, the smallest diagonal entry of ``S`` to
+    rounding, as ``diag_min``. Otherwise ``S = T - x x* + tau I`` is formed
+    in ``t``'s own buffer and :func:`verdict` decides on its eigenvalues,
+    with the residual ``||e||``.
     """
-    n = kernel.size
+    n = x.size
     tau = RANK_TOL * n
-    if not np.min(diag) > 0.0:
-        return None
-    t, e = assemble()
+    diag = np.diagonal(t).real.copy()
     residual = float(np.linalg.norm(e))
-    if residual > RESIDUAL_TOL * n:
-        return None
-    try:
-        np.linalg.cholesky(t)
-    except np.linalg.LinAlgError:
-        return None
-    # |rho| <= ||e|| / sqrt(n) <= RESIDUAL_TOL sqrt(n) < tau, as Kato-Temple
-    # requires.
-    rho = float(np.vdot(kernel, e).real) / n
-    min_eig = rho - float(np.sum(np.abs(e - rho * kernel) ** 2)) / n / (tau - rho)
-    if min_eig < PSD_TOL * n:
-        return None
-    return CertificateReport(
-        residual=residual, min_eig=min_eig, second_eig=tau,
-        diag_min=float(np.min(diag)) + tau - 1.0, tight=True, unique=True,
-    )
+    if np.min(diag) > 0.0 and residual <= RESIDUAL_TOL * n:
+        np.fill_diagonal(t, diag - cholesky_charge(n, float(np.sum(diag))))
+        try:
+            np.linalg.cholesky(t)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            rho = float(np.vdot(x, e).real) / n
+            min_eig = rho - float(np.sum(np.abs(e - rho * x) ** 2)) / n / (tau - rho)
+            if min_eig >= PSD_TOL * n:
+                return CertificateReport(
+                    residual=residual, min_eig=min_eig, second_eig=tau,
+                    diag_min=float(np.min(diag)) + tau - 1.0, tight=True, unique=True,
+                ), None
+    t -= np.outer(x, x.conj())
+    np.fill_diagonal(t, diag - (x * x.conj()).real + tau)
+    s = HermitianMatrix(t)
+    return verdict(s, residual), s
 
 
 def certify(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:
     """Build the certificate at ``point`` and test tightness and uniqueness."""
-    return verdict(build_certificate(data, point), point.vec)
+    s = build_certificate(data, point)
+    return verdict(s, float(np.linalg.norm(s.mat @ point.vec)))

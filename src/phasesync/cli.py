@@ -6,7 +6,7 @@ sweeps from a config file, ``curves`` for the overlay thresholds, and
 ``check-noise`` for tail statistics of the noise-regularity events.
 
 Exit codes: 0 on success, 1 on I/O or config errors, 2 when ``solve`` fails
-to converge, 3 when the eigensolver fails inside ``certify``.
+to converge, 3 when an eigensolver fails, in any subcommand.
 ``PHASESYNC_WORKERS`` overrides the worker count of a grid run without
 touching the config file.
 """
@@ -24,6 +24,7 @@ from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, WORKERS_ENV_VAR, ConfigErro
                          aggregate_path, emit_curves, parse_grid_config,
                          run_grid, run_trial_detailed, trial_csv_row, write_curves,
                          _fmt)
+from .hermitian import EigensolverError
 from .model import noise_tail_stats
 from .serialize import (read_instance, read_phase_vector, write_instance,
                         write_phase_vector)
@@ -165,6 +166,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except EigensolverError as exc:
+        print(f"eigensolver failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ values-only :func:`smallest_eigvals` (all a verdict reads) checks that the
 spectrum reproduces the trace and Frobenius norm. Whether a matrix is
 positive definite is decided by a Cholesky factorization instead, a proof
 with no eigensolve (Rump 2006, "Verification of positive definiteness"):
-:func:`norm_at_most` here, and ``certificate.proved_verdict``.
+:func:`norm_at_most` here, and ``certificate.decide``, each charged
+with its own rounding (:func:`cholesky_charge`).
 """
 
 from __future__ import annotations
@@ -128,22 +129,37 @@ def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
     return vals[:k]
 
 
+def cholesky_charge(n: int, trace: float) -> float:
+    """The shift ``c`` that makes a Cholesky factorization a proof: if the
+    floating-point factorization of ``A - c I`` succeeds, with
+    ``c = gamma_{n+1} / (1 - gamma_{n+1}) tr A`` and
+    ``gamma_k = k u / (1 - k u)`` for the unit roundoff ``u``, the ``n x n``
+    matrix ``A`` is positive definite (Demmel 1989, "On floating point errors
+    in Cholesky"; Rump 2006, "Verification of positive definiteness").
+    Without the shift, a factorization can succeed on a matrix whose
+    smallest eigenvalue is within rounding of 0 or below it."""
+    u = np.finfo(float).eps / 2.0
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    return gamma / (1.0 - gamma) * trace
+
+
 def norm_at_most(h: HermitianMatrix, bound: float) -> bool:
-    """Whether the spectral norm ``||H||`` is at most ``bound``.
+    """Whether the spectral norm ``||H||`` is provably at most ``bound``.
 
     ``||H|| <= bound`` exactly when ``bound I - H`` and ``bound I + H`` are
     both positive semidefinite, so two Cholesky factorizations decide it
-    without an eigensolve (Rump 2006, "Verification of positive
-    definiteness"). A factorization succeeds only on a positive definite
-    matrix, and its backward error is of order ``n eps ||H||``, the same as
-    that of the eigenvalues a dense eigensolver would compare; the two
-    answers can differ only when ``||H||`` equals ``bound`` to within
-    rounding (a zero ``H`` against a zero ``bound`` reads false).
+    without an eigensolve. Each factorizes the matrix less its rounding
+    charge (:func:`cholesky_charge` of its trace), so success proves it
+    positive definite. A false answer can therefore come only from an
+    ``||H||`` within that charge, of order ``n eps ||H||``, of ``bound``
+    (a zero ``H`` against a zero ``bound`` reads false).
     """
-    diag = np.diag_indices(h.n)
+    n = h.n
+    diag = np.diag_indices(n)
     for sign in (-1.0, 1.0):
         shifted = sign * h.mat
         shifted[diag] += bound
+        shifted[diag] -= cholesky_charge(n, float(np.trace(shifted).real))
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:

@@ -24,11 +24,11 @@ synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* at a first-order point ``certificate.proved_verdict`` first tries to prove
-  the point tight and unique with one Cholesky factorization, reusing the
-  loop's half gradient ``e = S x``. A proved point is the global optimum and
-  needs no escape test. Otherwise ``S`` is built and ``certificate.verdict``
-  decides on its eigenvalues. Only when ``min_eig(S) < -ESCAPE_TOL * n`` is
+* at a first-order point ``certificate.decide`` gives the verdict, from the
+  loop's half gradient ``e = S x``: proved tight and unique by one Cholesky
+  factorization, or else decided on the eigenvalues of ``S``, which it
+  returns. A proved point is the global optimum and needs no escape test.
+  Only when ``min_eig(S) < -ESCAPE_TOL * n`` is
   ``H`` formed; a Cholesky factorization of ``H + ESCAPE_TOL * n I`` then
   proves that no escape exists, and only when it fails is ``H`` decomposed
   (one real eigensolve). If ``min_eig(H)`` is below the floor, its
@@ -38,9 +38,8 @@ synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
   keeps the global-phase kernel ``H 1 = 0`` from being taken as a
   direction. At most ``MAX_ESCAPES`` escapes are taken.
 
-The report carries the certificate verdict of the returned point: the one
-made at the last check, or, when the run ended without one (iteration budget
-spent, or escape cap reached), a :func:`certify` of the final point.
+Every exit (convergence, the iteration budget, the escape cap) ends with
+that verdict on the point it returns, and the report carries it.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import (RANK_TOL, CertificateReport, build_certificate, certify,
-                          proved_verdict, verdict)
+from .certificate import RANK_TOL, CertificateReport, decide
 from .hermitian import (EIG_RESIDUAL_TOL, EigensolverError, HermitianMatrix, extreme_eigs,
                         smallest_eigvals)
 from .model import PhaseVector
@@ -80,7 +78,7 @@ GRAD_TOL = 1e-10
 MAX_ITERS = 500
 
 # Escapes from saddles per solve; a point reached by the last one is returned
-# with the verdict of certify.
+# with its verdict and no escape test.
 MAX_ESCAPES = 5
 
 
@@ -93,9 +91,9 @@ class SolverReport:
     no planted signal was supplied; otherwise they are the planted cost
     ``z* C z`` and whether ``cost >= planted_cost - BEAT_COST_SLACK n^2``.
     ``converged`` implies ``grad_norm <= GRAD_TOL * n``. ``certificate`` is
-    the verdict on ``x``: the flags of :func:`certify`, and its eigenvalues
-    too unless a factorization proved the verdict, in which case
-    ``min_eig`` and ``second_eig`` are bounds on them.
+    the verdict of ``certificate.decide`` on ``x``: its ``residual`` is the
+    loop's ``||S x||``, and ``min_eig`` and ``second_eig`` are eigenvalues of
+    ``S``, or bounds on them where a factorization proved the verdict.
     """
 
     x: PhaseVector
@@ -148,26 +146,16 @@ def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
     return max(0.0, -float(vals[0])), float(vals[-1])
 
 
-def _certificate(data: HermitianMatrix, point: PhaseVector, a: np.ndarray,
+def _certificate(data: HermitianMatrix, x: np.ndarray, a: np.ndarray,
                  e: np.ndarray) -> tuple[CertificateReport, HermitianMatrix | None]:
-    # The verdict at a first-order point, from the power loop's own
-    # a = Re(w o xbar) and e = S x, with w = C x. ``proved_verdict`` factorizes
-    # T = x x* - C with diagonal a - Re diag(C) + |x|^2 - tau; S is built, and
-    # returned for the escape test, only when that proof fails.
-    x = point.vec
-    n = point.n
-    diag = a - np.diagonal(data.mat).real + (x.real * x.real + x.imag * x.imag) - RANK_TOL * n
-
-    def assemble():
-        t = np.outer(x, x.conj()) - data.mat
-        np.fill_diagonal(t, diag)
-        return t, e
-
-    report = proved_verdict(x, diag, assemble)
-    if report is not None:
-        return report, None
-    s = build_certificate(data, point)
-    return verdict(s, x), s
+    # The verdict at x from the power loop's own a = Re(w o xbar) and
+    # e = S x, with w = C x: ``decide`` gets T = x x* - C with diagonal
+    # a - Re diag(C) + |x|^2 - tau.
+    t = np.outer(x, x.conj())
+    t -= data.mat
+    np.fill_diagonal(t, a - np.diagonal(data.mat).real + (x.real * x.real + x.imag * x.imag)
+                     - RANK_TOL * x.size)
+    return decide(x, t, e)
 
 
 def _tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
@@ -260,8 +248,6 @@ def solve_second_order(
     iterations = 0
     escapes = 0
     restarted = False
-    converged = False
-    cert = None
 
     while True:
         np.matmul(cmat, x, out=w)
@@ -271,49 +257,46 @@ def solve_second_order(
         a = wx.real
         np.subtract(np.multiply(a, x, out=e), w, out=e)
         gn = 2.0 * math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
-        if gn <= tol:
+        converged = gn <= tol
+        if converged:
             cost_x = float(np.vdot(x, w).real)
             if signal is not None and not restarted and cost_x < cost_z:
                 x, w, xc, wx, e, y, r = work(signal.vec)
                 restarted = True
                 continue
-            if escapes < MAX_ESCAPES:
-                point = PhaseVector(x)
-                report, s = _certificate(data, point, a, e)
+        elif iterations < max_iters:
+            np.add(w, np.multiply(shift, x, out=y), out=y)
+            np.abs(y, out=r)
+            # The guard for entries without a usable phase, only when one
+            # exists: those keep their previous phase.
+            if np.minimum.reduce(r) > PHASE_FLOOR:
+                np.divide(y, r, out=x)
+            else:
+                np.divide(y, r, out=x, where=r > PHASE_FLOOR)
+            iterations += 1
+            continue
+        # Every exit decides the verdict on its x. A converged point below the
+        # escape cap first tries to leave along negative curvature; the
+        # verdict on a point it leaves is dropped.
+        cert, s = _certificate(data, x, a, e)
+        if (converged and escapes < MAX_ESCAPES and cert.error is None
+                and cert.min_eig < -ESCAPE_TOL * n):
+            point = PhaseVector(x)
+            try:
+                direction = _negative_curvature(point, s)
+            except EigensolverError as exc:
+                logger.warning("no escape tried: %s", exc)
                 direction = None
-                if report.error is None and report.min_eig < -ESCAPE_TOL * n:
-                    try:
-                        direction = _negative_curvature(point, s)
-                    except EigensolverError as exc:
-                        logger.warning("no escape tried: %s", exc)
-                if direction is not None:
-                    moved = _escape_step(data, point, direction, cost_x)
-                    if moved is not None:
-                        x, w, xc, wx, e, y, r = work(moved)
-                        escapes += 1
-                        continue
-                    logger.warning("negative curvature found but no ascent step succeeded")
-                # Kept only here, where x stays put: a verdict on a point the
-                # ascent then left would not be the verdict on its result.
-                cert = report
-            converged = True
-            break
-        if iterations >= max_iters:
-            break
-        np.add(w, np.multiply(shift, x, out=y), out=y)
-        np.abs(y, out=r)
-        # The guard for entries without a usable phase, only when one exists:
-        # those keep their previous phase.
-        if np.minimum.reduce(r) > PHASE_FLOOR:
-            np.divide(y, r, out=x)
-        else:
-            np.divide(y, r, out=x, where=r > PHASE_FLOOR)
-        iterations += 1
+            if direction is not None:
+                moved = _escape_step(data, point, direction, cost_x)
+                if moved is not None:
+                    x, w, xc, wx, e, y, r = work(moved)
+                    escapes += 1
+                    continue
+                logger.warning("negative curvature found but no ascent step succeeded")
+        break
 
-    # Both exits leave w = C x and gn for the final x.
-    final = PhaseVector(x)
-    if cert is None:
-        cert = certify(data, final)
+    # Every exit leaves w = C x and gn for the final x.
     cost = float(np.vdot(x, w).real)
     beat = None
     if signal is not None:
@@ -322,7 +305,7 @@ def solve_second_order(
         logger.warning("no convergence in %d power steps (grad norm %.3e, tol %.3e)",
                        iterations, gn, tol)
     return SolverReport(
-        x=final, cost=cost, grad_norm=gn,
+        x=PhaseVector(x), cost=cost, grad_norm=gn,
         iterations=iterations, escapes=escapes,
         planted_cost=cost_z, beat_planted=beat, converged=converged, certificate=cert,
     )

@@ -51,3 +51,21 @@ def openblas_threads():
                     put(before)
                 return
     pytest.skip("numpy bundles no OpenBLAS, so there is no thread count to set")
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Every ``(report, S)`` pair ``certificate.decide`` returns to the solver
+    and to ``z2.planted_verdict`` during the test, in call order. ``S`` is
+    None where a factorization proved the verdict."""
+    from phasesync import certificate, solver, z2
+
+    seen = []
+
+    def recording(x, t, e, _decide=certificate.decide):
+        seen.append(_decide(x, t, e))
+        return seen[-1]
+
+    for module in (solver, z2):
+        monkeypatch.setattr(module, "decide", recording)
+    return seen

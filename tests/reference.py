@@ -11,14 +11,19 @@ The torus derivatives of ``g(x) = -x* C x`` (:func:`riemannian_grad`,
 :func:`hessian_vec`, through :func:`project_tangent`) are written as
 projections of ambient derivatives, independently of the certificate form
 the solver evaluates. Tangent vectors are plain ambient arrays.
+:func:`real_certificate` is the closed form of the real certificate at the
+planted signs, built entry by entry rather than from the matrix the
+package's verdict starts from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from phasesync.certificate import CertificateReport, verdict
 from phasesync.hermitian import HermitianMatrix, smallest_eigvals
 from phasesync.model import PhaseVector
+from phasesync.z2 import SignVector
 
 
 def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -169,3 +174,38 @@ def power_iterates(mat: np.ndarray, x: np.ndarray, shift: float, steps: int):
         x = np.where(safe, y / np.where(safe, a, 1.0), x)
     w = mat @ x
     return x, float(np.linalg.norm(2.0 * (w * x.conj()).real * x - 2.0 * w))
+
+
+def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:
+    """Closed-form dual certificate at the planted sign vector.
+
+    Off the diagonal ``S = -z z^T - sigma W``; on it
+    ``S_ii = n - 1 + sigma z_i (W z)_i``. The defining identity ``S z = 0``
+    is asserted on every call (to ``1e-10 * n``): it holds for any signs,
+    noise, and sigma, not just favorable draws. ``W`` must be real float64,
+    and so is ``S``; the checks are those of ``z2.planted_verdict``.
+    """
+    if noise.n != signal.n:
+        raise ValueError("signal and noise sizes disagree")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if noise.mat.dtype != np.float64:
+        raise ValueError(f"noise matrix must be real float64, got {noise.mat.dtype}")
+    w = noise.mat
+    n = signal.n
+    z = signal.vec
+    wz = w @ z
+    s = -np.outer(z, z) - sigma * w
+    np.fill_diagonal(s, n - 1.0 + sigma * (z * wz))
+    out = HermitianMatrix(s)
+    residual = float(np.linalg.norm(out.mat @ z))
+    assert residual <= 1e-10 * n, (
+        f"certificate does not annihilate the signal: residual {residual:.3e}"
+    )
+    return out
+
+
+def verdict_at(s: HermitianMatrix, x) -> CertificateReport:
+    """``certificate.verdict`` on ``s`` with the residual ``||S x||``, the
+    way ``certificate.certify`` calls it."""
+    return verdict(s, float(np.linalg.norm(s.mat @ np.asarray(x))))

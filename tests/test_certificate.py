@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate, certify,
-                                   proved_verdict, verdict)
+                                   decide, verdict)
+from phasesync.hermitian import cholesky_charge
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order
-from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
+from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import jacobi_eigvalsh, quad_form, riemannian_grad
+from reference import jacobi_eigvalsh, quad_form, real_certificate, riemannian_grad, verdict_at
 
 
 def _instance(n, sigma, seed):
@@ -159,7 +160,7 @@ class TestValuesOnlyVerdict:
                 ref = np.linalg.eigh(s.mat)[0][:2]
                 with monkeypatch.context() as m:
                     m.setattr(np.linalg, "eigh", no_eigenvectors)
-                    report = verdict(s, kernel)
+                    report = verdict_at(s, kernel)
                 tight = bool(report.residual <= RESIDUAL_TOL * n and ref[0] >= PSD_TOL * n)
                 unique = bool(tight and ref[1] >= RANK_TOL * n)
                 assert (report.tight, report.unique) == (tight, unique)
@@ -171,8 +172,8 @@ class TestValuesOnlyVerdict:
             assert {(cplx, False, False), (cplx, True, True)} <= seen
 
 
-class TestProvedVerdict:
-    """The factorization proof on certificates with a known spectrum."""
+class TestDecide:
+    """The one trial verdict on certificates with a known spectrum."""
 
     @staticmethod
     def _tilted(theta, mu):
@@ -187,15 +188,10 @@ class TestProvedVerdict:
         q[:, :2] = q[:, :2] @ np.array([[c, -s], [s, c]])
         return q @ np.diag([0.0, *mu]) @ q.T, x
 
-    def _prove(self, s_mat, x):
+    @staticmethod
+    def _decide(s_mat, x):
         n = x.size
-        tau = RANK_TOL * n
-        diag = np.diag(s_mat) + 1.0 - tau
-
-        def assemble():
-            return s_mat + np.outer(x, x) - tau * np.eye(n), s_mat @ x
-
-        return proved_verdict(x, diag, assemble)
+        return decide(x, s_mat + np.outer(x, x) - RANK_TOL * n * np.eye(n), s_mat @ x)
 
     def test_bound_holds_where_its_correction_decides(self):
         # With lambda_2 just above tau, the Kato-Temple correction
@@ -203,25 +199,47 @@ class TestProvedVerdict:
         # true lambda_1 = 0, and still clears PSD_TOL * n.
         n = 4
         s_mat, x = self._tilted(1e-3, (5e-8, 6e-8, 7e-8))
-        report = self._prove(s_mat, x)
-        assert report is not None and report.tight and report.unique
+        report, s = self._decide(s_mat, x)
+        assert s is None and report.tight and report.unique
         rho = float(x @ s_mat @ x) / n
         assert PSD_TOL * n <= report.min_eig < 0.0 < rho
         assert report.second_eig == RANK_TOL * n < 5e-8
         assert report.residual == pytest.approx(np.linalg.norm(s_mat @ x), rel=1e-12)
 
-    def test_failed_proofs_decide_nothing(self):
+    def test_failed_proofs_fall_back_to_the_eigenvalues_of_s(self):
         # The bound misses its gate; lambda_2 is below tau, so T does not
-        # factorize; a nonpositive diagonal entry of T skips assembling it.
-        s_mat, x = self._tilted(1e-2, (5e-8, 6e-8, 7e-8))
-        assert self._prove(s_mat, x) is None
-        s_mat, x = self._tilted(1e-4, (3e-8, 6e-8, 7e-8))
-        assert self._prove(s_mat, x) is None
+        # factorize. Either way S = T - x x* + tau I is formed, S to rounding,
+        # and the verdict is the eigenvalue verdict on it with ||S x||.
+        for theta, mu in ((1e-2, (5e-8, 6e-8, 7e-8)), (1e-4, (3e-8, 6e-8, 7e-8))):
+            s_mat, x = self._tilted(theta, mu)
+            report, s = self._decide(s_mat, x)
+            assert s is not None
+            assert np.abs(s.mat - s_mat).max() <= 1e-15
+            assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
 
-        def refuse():
-            raise AssertionError("T assembled despite a nonpositive diagonal")
+    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("T factorized despite a nonpositive diagonal")
 
-        assert proved_verdict(x, np.array([1.0, 0.0, 1.0, 1.0]), refuse) is None
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        x = np.ones(4)
+        t = np.diag([1.0, 0.0, 1.0, 1.0])
+        report, s = decide(x, t.copy(), np.zeros(4))
+        assert s is not None and not report.tight
+        assert np.array_equal(s.mat, t - np.outer(x, x) + RANK_TOL * 4 * np.eye(4))
+
+    def test_factorization_is_charged_its_rounding(self):
+        # T = diag(delta, 1, 1, 1) with delta below the rounding charge c:
+        # a plain factorization of T succeeds, yet it proves nothing, so the
+        # verdict falls back. Just above c the proof holds.
+        x = np.ones(4)
+        c = cholesky_charge(4, 3.0)
+        for delta, proved in ((c / 2.0, False), (4.0 * c, True)):
+            t = np.diag([delta, 1.0, 1.0, 1.0])
+            np.linalg.cholesky(t)
+            report, s = decide(x, t, np.zeros(4))
+            assert (s is None) == proved
+            assert report.tight == report.unique == proved
 
 
 class TestCertifyValidation:

@@ -57,6 +57,17 @@ class TestSolve:
         rows = parse_table(out)
         assert rows[0]["converged"] == "false"
 
+    @pytest.mark.parametrize("sigma", ["1e160", "1e200"])
+    def test_eigensolver_failure_exit_code(self, capsys, sigma):
+        # ||C||_F overflows, so the values-only solve of C misses its gate:
+        # the failure is reported, not raised, and no row is written.
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(capsys, "solve", "--n", "20", "--sigma", sigma,
+                                     "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("eigensolver failure: ")
+
     def test_dump_files(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.txt"
         x_path = tmp_path / "x.txt"
@@ -279,6 +290,16 @@ out = {out}
         assert "grad_tol" in err
         assert stdout == ""
         assert not out.exists()
+
+    def test_eigensolver_failure_exit_code(self, capsys, tmp_path):
+        out = tmp_path / "g.csv"
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text(self.CFG.format(case="complex", out=out).replace("0.2 0.5", "1e200"))
+        with np.errstate(over="ignore"):
+            code, stdout, err = run_cli(capsys, "grid", "--config", str(cfg))
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("eigensolver failure: ")
 
     def test_workers_env_override(self, capsys, tmp_path, monkeypatch):
         out1 = tmp_path / "a.csv"

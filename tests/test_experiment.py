@@ -20,9 +20,9 @@ from phasesync.certificate import RANK_TOL, build_certificate, certify, verdict
 from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
                              trial_seed)
 from phasesync.solver import solve_second_order
-from phasesync.z2 import random_signs, real_certificate, sample_real_wigner
+from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import quad_form
+from reference import quad_form, real_certificate, verdict_at
 
 
 def _write_config(tmp_path, text):
@@ -296,13 +296,13 @@ class TestEigensolves:
         assert solves == [(n, n)]
         assert trial_csv_row(again) == trial_csv_row(rec)
 
-    def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch):
+    def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch, decisions):
         # Not tight: S has a negative eigenvalue, and the tangent Hessian that
         # is then formed factorizes, so it is never decomposed.
         n, sigma, seed = 12, 3.0, 1
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
         assert not rec.tight and rep.converged and rep.escapes == 0
-        s = build_certificate(inst.C, rep.x)
+        [(_, s)] = decisions
         log = _watch_eigensolves(monkeypatch)
         again = run_trial(n, sigma, seed)
         assert log == [("eigvalsh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
@@ -316,25 +316,25 @@ class TestEigensolves:
         assert rec.tight and rec.unique
         assert log == []
 
-    def test_real_trial_beyond_threshold_decomposes_s_once(self, monkeypatch):
+    def test_real_trial_beyond_threshold_decomposes_s_once(self, monkeypatch, decisions):
         n, sigma, seed = 40, 12.0, 6
-        s = real_certificate(random_signs(n, seed), sample_real_wigner(n, seed), sigma)
         log = _watch_eigensolves(monkeypatch)
         rec = run_real_trial(n, sigma, seed)
         assert not rec.tight
+        [(_, s)] = decisions
         assert log == [("eigvalsh", _digest(s.mat))]
 
-    def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch):
+    def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch, decisions):
         # C gets its values-only solve; the proof's factorization and then
-        # the values-only solve of the certificate S fail. The trial reports the failure as
-        # not tight instead of raising.
+        # the values-only solve of the certificate S fail. The trial reports
+        # the failure as not tight instead of raising.
         n, sigma, seed = 12, 0.3, 5
-        _, inst, plain = run_trial_detailed(n, sigma, seed)
-        s = build_certificate(inst.C, plain.x)
         injected = _fail_proof(monkeypatch)
+        run_trial(n, sigma, seed)
+        [(_, s)] = decisions
         _watch_eigensolves(monkeypatch, fail={_digest(s.mat)})
         rec = run_trial(n, sigma, seed)
-        assert injected == [(n, n)]
+        assert injected == [(n, n), (n, n)]
         assert not rec.tight and not rec.unique
         assert math.isnan(rec.min_eig_S)
         _, _, rep = run_trial_detailed(n, sigma, seed)
@@ -351,80 +351,91 @@ class TestPlantedProof:
     def _eig_verdict(n, sigma, seed):
         z = random_signs(n, seed)
         s = real_certificate(z, sample_real_wigner(n, seed), sigma)
-        return s, verdict(s, z.vec)
+        return s, verdict_at(s, z.vec)
 
-    def test_matches_eigenvalue_verdict_across_the_threshold(self, monkeypatch):
+    @staticmethod
+    def _assert_fallback(report, s, ref, ref_s):
+        # A verdict no proof decided is the eigenvalue verdict on the S that
+        # decide returned, field for field, with the reference's flags; that
+        # S is the reference certificate to rounding.
+        assert report == verdict(s, report.residual)
+        assert (report.tight, report.unique) == (ref.tight, ref.unique)
+        slack = 4 * np.finfo(float).eps * np.abs(ref_s.mat).max()
+        assert np.abs(s.mat - ref_s.mat).max() <= slack
+
+    def test_matches_eigenvalue_verdict_across_the_threshold(self, decisions):
         outcomes = set()
         for n in (20, 60, 200):
             threshold = math.sqrt(n / (2 * math.log(n)))
             for factor in (0.5, 0.9, 1.1, 2.0):
                 for seed in range(3):
                     sigma = factor * threshold
-                    log = _watch_eigensolves(monkeypatch)
                     rec = run_real_trial(n, sigma, seed)
-                    proved = not log
-                    monkeypatch.undo()
-                    s, ref = self._eig_verdict(n, sigma, seed)
+                    report, s = decisions[-1]
+                    ref_s, ref = self._eig_verdict(n, sigma, seed)
                     assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
+                    assert (rec.min_eig_S, rec.second_eig_S, rec.residual) == (
+                        report.min_eig, report.second_eig, report.residual)
                     outcomes.add(rec.unique)
-                    if proved:
+                    if s is None:
                         # Bounds on the eigenvalues, within the eigensolver's
                         # own rounding.
-                        slack = n * np.finfo(float).eps * np.linalg.norm(s.mat)
+                        slack = n * np.finfo(float).eps * np.linalg.norm(ref_s.mat)
                         assert rec.second_eig_S <= ref.second_eig + slack
                         assert rec.min_eig_S <= ref.min_eig + slack
                     else:
-                        assert (rec.min_eig_S, rec.second_eig_S) == (ref.min_eig, ref.second_eig)
+                        self._assert_fallback(report, s, ref, ref_s)
         assert outcomes == {True, False}
 
-    def test_complex_proof_matches_eigenvalue_verdict_across_the_edge(self, monkeypatch):
+    def test_complex_proof_matches_eigenvalue_verdict_across_the_edge(self, decisions):
         # sigma on both sides of the conjectured edge sqrt(n) / 3. A proved
         # verdict bounds certify's eigenvalues at the solver's estimate; any
-        # other verdict is certify's, field for field.
+        # other verdict is the eigenvalue verdict on the S decide returned.
         unique, proved = set(), set()
         for n in (20, 60, 200):
             for factor in (0.5, 0.9, 1.1, 2.0):
                 for seed in range(3):
                     sigma = factor * math.sqrt(n) / 3.0
-                    log = _watch_eigensolves(monkeypatch)
                     rec, inst, rep = run_trial_detailed(n, sigma, seed)
-                    monkeypatch.undo()
-                    s = build_certificate(inst.C, rep.x)
-                    factored = ("eigvalsh", _digest(s.mat)) not in log
+                    report, s = decisions[-1]
+                    assert rep.certificate is report
+                    ref_s = build_certificate(inst.C, rep.x)
                     ref = certify(inst.C, rep.x)
                     assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
                     unique.add(rec.unique)
-                    proved.add(factored)
-                    if factored:
-                        slack = n * np.finfo(float).eps * np.linalg.norm(s.mat)
+                    proved.add(s is None)
+                    if s is None:
+                        slack = n * np.finfo(float).eps * np.linalg.norm(ref_s.mat)
                         assert rec.unique
                         assert rec.second_eig_S <= ref.second_eig + slack
                         assert rec.min_eig_S <= ref.min_eig + slack
                     else:
-                        assert rep.certificate == ref
+                        self._assert_fallback(report, s, ref, ref_s)
         assert unique == {True, False}
         assert proved == {True, False}
 
     @pytest.mark.parametrize("n, sigma, seed", [(12, 0.5, 5), (60, 1.0, 3), (40, 12.0, 6)])
     def test_failed_factorization_falls_back_to_the_eigenvalue_record(
-            self, monkeypatch, n, sigma, seed):
+            self, monkeypatch, decisions, n, sigma, seed):
         # Only the certificate's factorization fails; the noise-norm gate's
         # factorizations run as usual. Beyond the threshold the factorization
-        # is not even tried (see the test below).
+        # is not even tried (see the test below). The residual is ||S z||
+        # through T either way, so only the eigenvalue columns change.
         plain = run_real_trial(n, sigma, seed)
         injected = _fail_proof(monkeypatch)
         rec = run_real_trial(n, sigma, seed)
-        _, ref = self._eig_verdict(n, sigma, seed)
+        report, s = decisions[-1]
+        ref_s, ref = self._eig_verdict(n, sigma, seed)
+        self._assert_fallback(report, s, ref, ref_s)
         expected = dataclasses.replace(
-            plain, grad_norm=2.0 * ref.residual, min_eig_S=ref.min_eig,
-            second_eig_S=ref.second_eig, residual=ref.residual,
-            tight=ref.tight, unique=ref.unique)
+            plain, min_eig_S=report.min_eig, second_eig_S=report.second_eig,
+            tight=report.tight, unique=report.unique)
         assert injected == ([(n, n)] if plain.unique else [])
         assert trial_csv_row(rec) == trial_csv_row(expected)
 
-    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch):
+    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch, decisions):
         # A diagonal entry of T = S + z z^T - tau I at or below 0 proves that
-        # its factorization fails, so it is neither built nor factorized.
+        # its factorization fails, so it is not tried.
         n, sigma, seed = 40, 12.0, 6
         z = random_signs(n, seed).vec
         w = sample_real_wigner(n, seed).mat
@@ -440,9 +451,11 @@ class TestPlantedProof:
         rec = run_real_trial(n, sigma, seed)
         # Only the noise-norm gate factorizes.
         assert set(calls) == {hermitian.__name__}
-        _, ref = self._eig_verdict(n, sigma, seed)
+        [(report, s)] = decisions
+        ref_s, ref = self._eig_verdict(n, sigma, seed)
+        self._assert_fallback(report, s, ref, ref_s)
         assert (rec.min_eig_S, rec.second_eig_S, rec.residual) == (
-            ref.min_eig, ref.second_eig, ref.residual)
+            report.min_eig, report.second_eig, report.residual)
 
 
 class TestRunGrid:

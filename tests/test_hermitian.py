@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasesync.hermitian import (EigensolverError, HermitianMatrix, extreme_eigs,
-                                 norm_at_most, smallest_eigvals)
+from phasesync.hermitian import (EigensolverError, HermitianMatrix, cholesky_charge,
+                                 extreme_eigs, norm_at_most, smallest_eigvals)
 from phasesync.model import sample_wigner
 from phasesync.z2 import sample_real_wigner
 
@@ -256,6 +256,18 @@ class TestNormAtMost:
             bounds += [norm * (1.0 + s * r) for r in (1e-9, 1e-6) for s in (-1.0, 1.0)]
             for bound in bounds:
                 assert norm_at_most(h, bound) == (norm <= bound), (seed, bound / norm)
+
+    def test_factorization_is_charged_its_rounding(self):
+        # ||H|| = 1 against bound = 1 + delta, with delta below the rounding
+        # charge of bound I - H: a plain factorization of bound I - H
+        # succeeds, but proves nothing, so the answer is false.
+        h = HermitianMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+        delta = 4.0 * np.finfo(float).eps
+        bound = 1.0 + delta
+        assert 0.0 < delta < cholesky_charge(4, 4.0 * bound - 1.0)
+        np.linalg.cholesky(bound * np.eye(4) - h.mat)
+        assert not norm_at_most(h, bound)
+        assert norm_at_most(h, 1.0 + 1e-12)
 
 
 class TestQuadForm:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync import solver
+from phasesync import certificate, solver
 from phasesync.certificate import build_certificate, certify, verdict
 from phasesync.hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
 from phasesync.metrics import align_global_phase
@@ -14,7 +14,7 @@ from phasesync.model import PhaseVector, assemble_instance, random_signal, sampl
 from phasesync.solver import (ESCAPE_TOL, _negative_curvature, _round_phases, _spectrum,
                               _top_vector, solve_second_order)
 
-from reference import hessian_vec, power_iterates, quad_form, real_inner
+from reference import hessian_vec, power_iterates, quad_form, real_inner, verdict_at
 
 
 def _instance(n, sigma, seed):
@@ -307,7 +307,7 @@ def _escape_direction(data, point):
     # The solver's escape decision: the values-only verdict on the
     # certificate, then the tangent Hessian only below -ESCAPE_TOL * n.
     s = build_certificate(data, point)
-    if verdict(s, point.vec).min_eig >= -ESCAPE_TOL * data.n:
+    if verdict_at(s, point.vec).min_eig >= -ESCAPE_TOL * data.n:
         return None
     return _negative_curvature(point, s)
 
@@ -412,6 +412,19 @@ class TestEscape:
         assert 2.0 * (4.0 - corr) <= 1e-8 * 4.0
 
 
+def _assert_decided_like_certify(data, rep, decisions):
+    # The run's last decision is its verdict. Where no proof held, it is the
+    # eigenvalue verdict on the S it returned, field for field; that S is the
+    # certificate at x to rounding, and the flags are certify's.
+    report, s = decisions[-1]
+    assert s is not None and rep.certificate is report
+    assert report == verdict(s, report.residual)
+    ref = certify(data, rep.x)
+    assert (report.tight, report.unique) == (ref.tight, ref.unique)
+    b = build_certificate(data, rep.x).mat
+    assert np.abs(s.mat - b).max() <= 4 * np.finfo(float).eps * np.abs(b).max()
+
+
 def _assert_proved_like_certify(data, rep):
     # A verdict proved by factorization has certify's flags, and its min_eig
     # and second_eig bound certify's eigenvalues within their rounding.
@@ -428,8 +441,8 @@ class TestSharedDecompositions:
     solve of C and one linear solve, without decomposing C. At a
     first-order point a Cholesky factorization proves the verdict where it
     can; otherwise the certificate S gets one values-only solve for its
-    verdict and escape test, and an eigenvector solve only to escape. A run
-    that ends without a verdict reports certify's."""
+    verdict and escape test, and an eigenvector solve only to escape. Every
+    exit, the budget and the escape cap included, takes that verdict."""
 
     def test_default_start_is_spectral_init(self, monkeypatch):
         inst = _instance(40, 1.0, 5)
@@ -455,11 +468,12 @@ class TestSharedDecompositions:
         _assert_proved_like_certify(inst.C, rep)
         assert rep.certificate.tight and rep.certificate.unique
 
-    def test_certificate_of_unconverged_run(self):
+    def test_certificate_of_unconverged_run(self, decisions):
         inst = _instance(50, 3.0, 9)
         rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=1)
         assert not rep.converged
-        assert rep.certificate == certify(inst.C, rep.x)
+        assert len(decisions) == 1
+        _assert_decided_like_certify(inst.C, rep, decisions)
         assert not rep.certificate.tight
 
     def test_certificate_after_escape(self):
@@ -469,12 +483,30 @@ class TestSharedDecompositions:
         _assert_proved_like_certify(data, rep)
         assert rep.certificate.tight and rep.certificate.unique
 
-    def test_certificate_with_escape_cap_spent(self, monkeypatch):
+    def test_certificate_with_escape_cap_spent(self, monkeypatch, decisions):
         data, x = _saddle_pair()
         monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
         rep = solve_second_order(data, x)
-        assert rep.certificate == certify(data, rep.x)
+        assert len(decisions) == 1
+        _assert_decided_like_certify(data, rep, decisions)
         assert not rep.certificate.tight
+
+    def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch):
+        # Every exit takes its verdict from the loop's own T and e: a
+        # converged run, one that spends its budget and one at the escape
+        # cap never build S from C, nor call certify.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver built a certificate from C")
+
+        monkeypatch.setattr(certificate, "certify", refuse)
+        monkeypatch.setattr(certificate, "build_certificate", refuse)
+        inst = _instance(50, 3.0, 9)
+        assert solve_second_order(inst.C, None, signal=inst.z).converged
+        assert not solve_second_order(inst.C, None, signal=inst.z, max_iters=1).converged
+        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
+        data, x = _saddle_pair()
+        rep = solve_second_order(data, x)
+        assert rep.converged and rep.escapes == 0
 
     def test_rejects_one_by_one(self):
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
