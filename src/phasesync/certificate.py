@@ -10,15 +10,16 @@ addition the second smallest eigenvalue is strictly positive, ``S`` has rank
 
 :func:`verdict` makes that test for any certificate from its eigenvalues,
 and :func:`certify`, the public entry point, runs it on a stored estimate.
-Every trial's verdict comes from :func:`decide` instead: one Cholesky
-factorization that proves tightness and uniqueness without an eigensolve,
-and :func:`verdict` only when the proof fails. The solver calls it at its
-own estimate, and ``z2.planted_verdict`` at the planted signs of the real
-case.
+Every trial's verdict comes from :func:`decide` instead, from the cheapest
+certificate: a diagonal entry of ``S`` below the floor refutes tightness,
+one Cholesky factorization proves tightness and uniqueness, and only when
+neither holds does :func:`verdict` decide. The solver calls it at its own
+estimate, and ``z2.planted_verdict`` at the planted signs of the real case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,10 @@ class CertificateReport:
     diagonal entry of ``S``, a cheap necessary sanity value: at any
     second-order critical point it should not be substantially negative.
     ``error`` carries an eigensolver failure note; both flags are false then.
-    A report proved by :func:`decide` carries bounds instead of
-    eigenvalues: ``min_eig`` is a lower bound on the smallest and
-    ``second_eig`` the floor ``RANK_TOL * n`` under the second.
+    Of :func:`decide`'s reports only those :func:`verdict` decided carry
+    eigenvalues. A proved one carries lower bounds: ``min_eig`` under the
+    smallest and ``RANK_TOL * n`` under the second. A refuted one carries
+    upper bounds on both, the eigenvalues of a 2 x 2 submatrix of ``S``.
     """
 
     residual: float
@@ -97,29 +99,42 @@ def verdict(s: HermitianMatrix, residual: float) -> CertificateReport:
 def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
            ) -> tuple[CertificateReport, HermitianMatrix | None]:
     """The verdict on the certificate ``S`` at the unit-modulus candidate
-    ``x``, and ``S`` itself unless a proof decided it.
+    ``x``, and ``S`` itself if its eigenvalues decided.
 
     ``t`` is ``T = S + x x* - tau I`` (``tau = RANK_TOL * n``), writable, with
-    a real diagonal, and ``e`` is ``S x``. When every diagonal entry of ``T``
-    is positive and ``||e||`` clears ``RESIDUAL_TOL * n``, ``T - c I`` is
-    factorized with the rounding charge ``c`` of :func:`cholesky_charge`.
-    Success proves ``T`` positive definite (Rump 2006), and interlacing under
-    the rank-one update gives ``lambda_2(S) >= lambda_1(S + x x*) > tau``.
-    The Kato-Temple inequality at ``x / sqrt(n)``, with Rayleigh quotient
-    ``rho = x* e / n`` (below ``tau`` by the residual gate) and residual
-    ``r^2 = ||e - rho x||^2 / n``, bounds
-    ``lambda_1(S) >= rho - r^2 / (tau - rho)``. If that bound clears
-    ``PSD_TOL * n`` the point is proved tight and unique: the report carries
-    the bound as ``min_eig``, ``tau`` as ``second_eig`` and
-    ``min(diag T) + tau - 1``, the smallest diagonal entry of ``S`` to
-    rounding, as ``diag_min``. Otherwise ``S = T - x x* + tau I`` is formed
-    in ``t``'s own buffer and :func:`verdict` decides on its eigenvalues,
-    with the residual ``||e||``.
+    a real diagonal, and ``e`` is ``S x``. The cheapest certificate decides.
+    Refuted: the smallest diagonal entry ``d_i`` of ``S`` plus its charge,
+    ``cholesky_charge(n + 1, sum_j |T_ij| + n + 2)`` for the rounding of a
+    row sum of ``T`` or of ``C = x x* - T``, is below ``PSD_TOL * n``.
+    Neither flag holds, ``t`` is left as it was, and ``min_eig`` and
+    ``second_eig`` are the eigenvalues of the principal submatrix of ``S`` on
+    ``i`` and the next smallest entry: upper bounds, by Cauchy interlacing.
+    Proved: the diagonal of ``T`` is positive, ``||e||`` clears
+    ``RESIDUAL_TOL * n``, and ``T - c I`` factorizes, with the charge ``c``
+    of :func:`cholesky_charge`. So ``T`` is positive definite (Rump 2006),
+    and interlacing under the rank-one update gives
+    ``lambda_2(S) >= lambda_1(S + x x*) > tau``. The Kato-Temple inequality
+    at ``x / sqrt(n)``, with ``rho = x* e / n`` (below ``tau`` by the
+    residual gate) and ``r^2 = ||e - rho x||^2 / n``, bounds
+    ``lambda_1(S) >= rho - r^2 / (tau - rho)``; if that clears
+    ``PSD_TOL * n``, both flags hold, with the bound as ``min_eig`` and
+    ``tau`` as ``second_eig``. Otherwise :func:`verdict` decides on the
+    eigenvalues of :func:`certificate_matrix`, with the residual ``||e||``.
+    ``diag_min`` is ``d_i`` throughout.
     """
     n = x.size
     tau = RANK_TOL * n
     diag = np.diagonal(t).real.copy()
     residual = float(np.linalg.norm(e))
+    d = diag - (x * x.conj()).real + tau
+    i, floor = np.argmin(d), PSD_TOL * n
+    # Only a negative entry pays for its charge: other rows allocate nothing.
+    if d[i] < floor and d[i] + cholesky_charge(n + 1, np.sum(np.abs(t[i])) + n + 2.0) < floor:
+        i, j = np.argpartition(d, 1)[:2]
+        mid = (d[i] + d[j]) / 2.0
+        rad = math.hypot((d[i] - d[j]) / 2.0, abs(t[i, j] - x[i] * np.conj(x[j])))
+        return CertificateReport(residual, float(mid - rad), float(mid + rad), float(d[i]),
+                                 tight=False, unique=False), None
     if np.min(diag) > 0.0 and residual <= RESIDUAL_TOL * n:
         np.fill_diagonal(t, diag - cholesky_charge(n, float(np.sum(diag))))
         try:
@@ -129,15 +144,20 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
         else:
             rho = float(np.vdot(x, e).real) / n
             min_eig = rho - float(np.sum(np.abs(e - rho * x) ** 2)) / n / (tau - rho)
-            if min_eig >= PSD_TOL * n:
-                return CertificateReport(
-                    residual=residual, min_eig=min_eig, second_eig=tau,
-                    diag_min=float(np.min(diag)) + tau - 1.0, tight=True, unique=True,
-                ), None
-    t -= np.outer(x, x.conj())
-    np.fill_diagonal(t, diag - (x * x.conj()).real + tau)
-    s = HermitianMatrix(t)
+            if min_eig >= floor:
+                return CertificateReport(residual, min_eig, tau, float(d[i]),
+                                         tight=True, unique=True), None
+        np.fill_diagonal(t, diag)
+    s = certificate_matrix(x, t)
     return verdict(s, residual), s
+
+
+def certificate_matrix(x: np.ndarray, t: np.ndarray) -> HermitianMatrix:
+    """``S = T - x x* + tau I`` for the ``T`` of :func:`decide`, in its buffer."""
+    d = np.diagonal(t).real - (x * x.conj()).real + RANK_TOL * x.size
+    t -= np.outer(x, x.conj())
+    np.fill_diagonal(t, d)
+    return HermitianMatrix(t)
 
 
 def certify(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:

@@ -17,6 +17,7 @@ with its own rounding (:func:`cholesky_charge`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,11 @@ class HermitianMatrix:
     complex128, any other as float64 (real symmetric). Construction averages
     the input with its conjugate transpose, forces the diagonal real, and
     marks a private copy read-only; the caller's array is never frozen or
-    aliased. An exactly Hermitian input, such as a sampled noise matrix or a
-    closed-form certificate, is its own average, so it is copied without the
-    averaging pass. Inputs with a NaN or infinite entry, and
-    inputs whose asymmetry exceeds ``HERMITIAN_ATOL`` (relative to the
-    largest entry magnitude), are rejected.
+    aliased. An exactly Hermitian input, such as a closed-form certificate,
+    is copied without the averaging pass; :meth:`from_upper` skips even the
+    copy. Inputs with a NaN or infinite entry, and inputs whose asymmetry
+    exceeds ``HERMITIAN_ATOL`` (relative to the largest entry magnitude),
+    are rejected.
     """
 
     mat: np.ndarray
@@ -69,6 +70,24 @@ class HermitianMatrix:
         np.fill_diagonal(h, np.diag(h).real)
         h.setflags(write=False)
         object.__setattr__(self, "mat", h)
+
+    @classmethod
+    def from_upper(cls, upper: np.ndarray) -> HermitianMatrix:
+        """The matrix with a zero diagonal and ``upper`` as its strict upper
+        triangle, row by row: Hermitian by construction, so it is checked only
+        for finite entries, and neither averaged nor copied."""
+        u = np.asarray(upper, np.complex128 if np.iscomplexobj(upper) else np.float64)
+        if not np.isfinite(u).all():
+            raise ValueError("matrix has a NaN or infinite entry")
+        n = (1 + math.isqrt(1 + 8 * u.size)) // 2
+        w = np.zeros((n, n), u.dtype)
+        mask = ~np.tri(n, dtype=bool)
+        w[mask] = u
+        w.T[mask] = u.conj()
+        w.setflags(write=False)
+        h = object.__new__(cls)
+        object.__setattr__(h, "mat", w)
+        return h
 
     @property
     def n(self) -> int:

@@ -156,13 +156,9 @@ def sample_wigner(n: int, seed: int) -> HermitianMatrix:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = philox_stream(seed, WIGNER_STREAM)
-    iu = np.triu_indices(n, k=1)
     m = n * (n - 1) // 2
     upper = rng.normal(0.0, np.sqrt(0.5), size=m) + 1j * rng.normal(0.0, np.sqrt(0.5), size=m)
-    w = np.zeros((n, n), dtype=np.complex128)
-    w[iu] = upper
-    w = w + w.conj().T
-    return HermitianMatrix(w)
+    return HermitianMatrix.from_upper(upper)
 
 
 def assemble_instance(signal: PhaseVector, noise: HermitianMatrix, sigma: float, seed: int) -> SyncInstance:

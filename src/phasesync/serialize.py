@@ -57,7 +57,7 @@ def read_phase_vector(path) -> PhaseVector:
 
 
 def write_instance(inst: SyncInstance, path) -> None:
-    upper = inst.W.mat[np.triu_indices(inst.n, k=1)]
+    upper = inst.W.mat[~np.tri(inst.n, dtype=bool)]
     lines = [
         INSTANCE_MARKER,
         f"sigma {inst.sigma:.17g}",
@@ -92,6 +92,4 @@ def read_instance(path) -> SyncInstance:
         raise ValueError(f"{where} W: expected {n * (n - 1)} decimals for n = {n}, got {2 * upper.size}")
     if any(line.strip() for line in lines[5:]):
         raise ValueError(f"{where}: trailing content after the W line")
-    w = np.zeros((n, n), dtype=np.complex128)
-    w[np.triu_indices(n, k=1)] = upper
-    return assemble_instance(z, HermitianMatrix(w + w.conj().T), sigma, seed)
+    return assemble_instance(z, HermitianMatrix.from_upper(upper), sigma, seed)

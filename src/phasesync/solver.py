@@ -25,12 +25,14 @@ synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
 * at a first-order point ``certificate.decide`` gives the verdict, from the
-  loop's half gradient ``e = S x``: proved tight and unique by one Cholesky
-  factorization, or else decided on the eigenvalues of ``S``, which it
+  loop's half gradient ``e = S x``: refuted by a diagonal entry of ``S``, with
+  upper bounds on its eigenvalues; proved tight and unique by one Cholesky
+  factorization; or else decided on the eigenvalues of ``S``, which it
   returns. A proved point is the global optimum and needs no escape test.
-  Only when ``min_eig(S) < -ESCAPE_TOL * n`` is
-  ``H`` formed; a Cholesky factorization of ``H + ESCAPE_TOL * n I`` then
-  proves that no escape exists, and only when it fails is ``H`` decomposed
+  Only when ``min_eig(S)``, or its bound, is below ``-ESCAPE_TOL * n`` is
+  ``H`` formed, from ``S`` (which a refuted point forms only then); a
+  Cholesky factorization of ``H + ESCAPE_TOL * n I`` then proves that no
+  escape exists, and only when it fails is ``H`` decomposed
   (one real eigensolve). If ``min_eig(H)`` is below the floor, its
   eigenvector gives a unit tangent direction of curvature ``2 min_eig(H)``;
   a backtracking step along it strictly increases the cost, and the ascent
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RANK_TOL, CertificateReport, decide
+from .certificate import RANK_TOL, CertificateReport, certificate_matrix, decide
 from .hermitian import (EIG_RESIDUAL_TOL, EigensolverError, HermitianMatrix, extreme_eigs,
                         smallest_eigvals)
 from .model import PhaseVector
@@ -146,16 +148,15 @@ def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
     return max(0.0, -float(vals[0])), float(vals[-1])
 
 
-def _certificate(data: HermitianMatrix, x: np.ndarray, a: np.ndarray,
-                 e: np.ndarray) -> tuple[CertificateReport, HermitianMatrix | None]:
-    # The verdict at x from the power loop's own a = Re(w o xbar) and
-    # e = S x, with w = C x: ``decide`` gets T = x x* - C with diagonal
+def _decide_t(data: HermitianMatrix, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # The T that ``decide`` takes at x, from the power loop's own
+    # a = Re(w o xbar), w = C x: T = x x* - C with diagonal
     # a - Re diag(C) + |x|^2 - tau.
     t = np.outer(x, x.conj())
     t -= data.mat
     np.fill_diagonal(t, a - np.diagonal(data.mat).real + (x.real * x.real + x.imag * x.imag)
                      - RANK_TOL * x.size)
-    return decide(x, t, e)
+    return t
 
 
 def _tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
@@ -278,10 +279,12 @@ def solve_second_order(
         # Every exit decides the verdict on its x. A converged point below the
         # escape cap first tries to leave along negative curvature; the
         # verdict on a point it leaves is dropped.
-        cert, s = _certificate(data, x, a, e)
+        cert, s = decide(x, _decide_t(data, x, a), e)
         if (converged and escapes < MAX_ESCAPES and cert.error is None
                 and cert.min_eig < -ESCAPE_TOL * n):
             point = PhaseVector(x)
+            if s is None:  # refuted: S is formed, from T again, only to escape
+                s = certificate_matrix(x, _decide_t(data, x, a))
             try:
                 direction = _negative_curvature(point, s)
             except EigensolverError as exc:

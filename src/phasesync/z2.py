@@ -59,11 +59,7 @@ def sample_real_wigner(n: int, seed: int) -> HermitianMatrix:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = philox_stream(seed, REAL_WIGNER_STREAM)
-    iu = np.triu_indices(n, k=1)
-    w = np.zeros((n, n), dtype=np.float64)
-    w[iu] = rng.normal(0.0, 1.0, size=n * (n - 1) // 2)
-    w = w + w.T
-    return HermitianMatrix(w)
+    return HermitianMatrix.from_upper(rng.normal(0.0, 1.0, size=n * (n - 1) // 2))
 
 
 def planted_verdict(signal: SignVector, noise: HermitianMatrix, sigma: float) -> CertificateReport:

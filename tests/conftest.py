@@ -57,7 +57,8 @@ def openblas_threads():
 def decisions(monkeypatch):
     """Every ``(report, S)`` pair ``certificate.decide`` returns to the solver
     and to ``z2.planted_verdict`` during the test, in call order. ``S`` is
-    None where a factorization proved the verdict."""
+    None where a factorization proved the verdict or a diagonal entry of
+    ``S`` refuted it."""
     from phasesync import certificate, solver, z2
 
     seen = []

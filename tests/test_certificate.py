@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate, certify,
-                                   decide, verdict)
+from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate,
+                                   certificate_matrix, certify, decide, verdict)
 from phasesync.hermitian import cholesky_charge
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order
@@ -218,28 +218,76 @@ class TestDecide:
             assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
 
     def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch):
+        # S = T - x x* + tau I has the diagonal entry -1 + tau: the verdict is
+        # refuted with no factorization and no eigensolve, T is left as it
+        # was, and the report carries the eigenvalues of S's principal
+        # submatrix [[-1 + tau, -1], [-1, tau]].
         def refuse(*args, **kwargs):
-            raise AssertionError("T factorized despite a nonpositive diagonal")
+            raise AssertionError("a refuted verdict factorized or decomposed")
 
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        for name in ("cholesky", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         x = np.ones(4)
         t = np.diag([1.0, 0.0, 1.0, 1.0])
-        report, s = decide(x, t.copy(), np.zeros(4))
-        assert s is not None and not report.tight
-        assert np.array_equal(s.mat, t - np.outer(x, x) + RANK_TOL * 4 * np.eye(4))
+        tau = RANK_TOL * 4
+        s_mat = t - np.outer(x, x) + tau * np.eye(4)
+        work = t.copy()
+        report, s = decide(x, work, s_mat @ x)
+        assert s is None and not report.tight and not report.unique
+        assert np.array_equal(work, t)
+        assert report.diag_min == -1.0 + tau
+        assert report.min_eig == pytest.approx(tau - 0.5 - math.sqrt(1.25), abs=1e-15)
+        assert report.second_eig == pytest.approx(tau - 0.5 + math.sqrt(1.25), abs=1e-15)
+        monkeypatch.undo()
+        assert np.array_equal(certificate_matrix(x, work).mat, s_mat)
+        lam = np.linalg.eigvalsh(s_mat)
+        assert report.min_eig >= lam[0] and report.second_eig >= lam[1]
 
     def test_factorization_is_charged_its_rounding(self):
-        # T = diag(delta, 1, 1, 1) with delta below the rounding charge c:
-        # a plain factorization of T succeeds, yet it proves nothing, so the
-        # verdict falls back. Just above c the proof holds.
-        x = np.ones(4)
-        c = cholesky_charge(4, 3.0)
-        for delta, proved in ((c / 2.0, False), (4.0 * c, True)):
-            t = np.diag([delta, 1.0, 1.0, 1.0])
+        # T = delta I + beta 1 1^T with delta below the rounding charge c is
+        # stored exactly, with smallest eigenvalue delta: a plain
+        # factorization of T succeeds, yet it proves nothing, so the verdict
+        # falls back to the eigenvalues of S. Just above c the proof holds.
+        # x = 1 is the top eigenvector, and beta makes S = T - x x* + tau I
+        # annihilate it to rounding, so the diagonal of S, about tau, refutes
+        # nothing.
+        n = 4
+        x = np.ones(n)
+        tau = RANK_TOL * n
+        beta = (n - tau) / n
+        ulp = np.spacing(beta)
+        c = cholesky_charge(n, n * (beta + ulp))
+        for delta, proved in ((ulp * round(c / 2.0 / ulp), False),
+                              (ulp * round(4.0 * c / ulp), True)):
+            t = delta * np.eye(n) + beta * np.ones((n, n))
+            assert np.diag(t)[0] - beta == delta
             np.linalg.cholesky(t)
-            report, s = decide(x, t, np.zeros(4))
+            s_mat = t - np.outer(x, x) + tau * np.eye(n)
+            report, s = decide(x, t, s_mat @ x)
             assert (s is None) == proved
-            assert report.tight == report.unique == proved
+            if not proved:
+                assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_refuted_eigenvalues_bound_those_of_s_from_above(self, n):
+        # Random S = P A P with P = I - x x* / n, so S x = 0, shifted down on
+        # one diagonal entry: refuted, and by Cauchy interlacing min_eig and
+        # second_eig are at least the two smallest eigenvalues of S.
+        rng = np.random.default_rng(n)
+        for cplx in (False, True):
+            x = np.exp(2j * np.pi * rng.random(n)) if cplx else rng.choice([-1.0, 1.0], n)
+            a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if cplx else 0.0)
+            p = np.eye(n) - np.outer(x, x.conj()) / n
+            s_mat = p @ (a + a.conj().T) @ p
+            s_mat[0, 0] -= 2.0 * n
+            t = s_mat + np.outer(x, x.conj()) - RANK_TOL * n * np.eye(n)
+            report, s = decide(x, t, s_mat @ x)
+            lam = np.linalg.eigvalsh(s_mat)
+            assert s is None and not report.tight and not report.unique
+            assert report.diag_min == pytest.approx(np.min(np.diag(s_mat).real), abs=1e-12)
+            slack = 1e-13 * n * np.abs(s_mat).max()
+            assert report.min_eig >= lam[0] - slack
+            assert report.second_eig >= lam[1] - slack
 
 
 class TestCertifyValidation:

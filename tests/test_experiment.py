@@ -262,10 +262,10 @@ def _fail_proof(monkeypatch):
 
 class TestEigensolves:
     # The noise-norm event is decided by Cholesky factorizations, so W is
-    # never decomposed, and so is a verdict where a factorization proves it;
-    # otherwise a verdict reads eigenvalues only, so S gets a values-only
-    # solve. C gets one values-only solve too: the spectral start comes from
-    # a linear solve.
+    # never decomposed, and so is a verdict where a diagonal entry of S
+    # refutes it or a factorization proves it; otherwise a verdict reads
+    # eigenvalues only, so S gets a values-only solve. C gets one values-only
+    # solve too: the spectral start comes from a linear solve.
     def test_unique_complex_trial_decomposes_c_only(self, monkeypatch):
         n, sigma, seed = 12, 0.3, 5
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
@@ -317,12 +317,26 @@ class TestEigensolves:
         assert log == []
 
     def test_real_trial_beyond_threshold_decomposes_s_once(self, monkeypatch, decisions):
-        n, sigma, seed = 40, 12.0, 6
+        # Past the threshold, yet every diagonal entry of S is positive, so
+        # nothing refutes the verdict, and T does not factorize: S gets its
+        # one values-only solve.
+        n, sigma, seed = 12, 2.0, 1
         log = _watch_eigensolves(monkeypatch)
         rec = run_real_trial(n, sigma, seed)
         assert not rec.tight
-        [(_, s)] = decisions
+        [(report, s)] = decisions
+        assert report.diag_min > 0.0
         assert log == [("eigvalsh", _digest(s.mat))]
+
+    def test_refuted_real_trial_runs_no_eigensolve(self, monkeypatch, decisions):
+        # Far past the threshold a diagonal entry of S is negative.
+        n, sigma, seed = 40, 12.0, 6
+        log = _watch_eigensolves(monkeypatch)
+        rec = run_real_trial(n, sigma, seed)
+        assert not rec.tight and not rec.unique
+        [(report, s)] = decisions
+        assert s is None and report.diag_min < 0.0
+        assert log == []
 
     def test_certificate_eigensolver_failure_is_in_band(self, monkeypatch, decisions):
         # C gets its values-only solve; the proof's factorization and then
@@ -363,29 +377,41 @@ class TestPlantedProof:
         slack = 4 * np.finfo(float).eps * np.abs(ref_s.mat).max()
         assert np.abs(s.mat - ref_s.mat).max() <= slack
 
-    def test_matches_eigenvalue_verdict_across_the_threshold(self, decisions):
-        outcomes = set()
+    def test_matches_eigenvalue_verdict_across_the_threshold(self, monkeypatch, decisions):
+        # Every kind of row agrees with the eigenvalue verdict on tight and
+        # unique. A proved row carries lower bounds on the eigenvalues and a
+        # refuted row upper bounds, within the eigensolver's own rounding;
+        # neither runs an eigensolve.
+        kinds = set()
         for n in (20, 60, 200):
             threshold = math.sqrt(n / (2 * math.log(n)))
             for factor in (0.5, 0.9, 1.1, 2.0):
                 for seed in range(3):
                     sigma = factor * threshold
-                    rec = run_real_trial(n, sigma, seed)
+                    with monkeypatch.context() as m:
+                        log = _watch_eigensolves(m)
+                        rec = run_real_trial(n, sigma, seed)
                     report, s = decisions[-1]
                     ref_s, ref = self._eig_verdict(n, sigma, seed)
                     assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
                     assert (rec.min_eig_S, rec.second_eig_S, rec.residual) == (
                         report.min_eig, report.second_eig, report.residual)
-                    outcomes.add(rec.unique)
-                    if s is None:
-                        # Bounds on the eigenvalues, within the eigensolver's
-                        # own rounding.
-                        slack = n * np.finfo(float).eps * np.linalg.norm(ref_s.mat)
+                    slack = n * np.finfo(float).eps * np.linalg.norm(ref_s.mat)
+                    if s is None and rec.tight:
+                        kinds.add("proved")
+                        assert rec.unique and log == []
                         assert rec.second_eig_S <= ref.second_eig + slack
                         assert rec.min_eig_S <= ref.min_eig + slack
+                    elif s is None:
+                        kinds.add("refuted")
+                        assert log == []
+                        assert rec.second_eig_S >= ref.second_eig - slack
+                        assert rec.min_eig_S >= ref.min_eig - slack
                     else:
+                        kinds.add("eigvalsh")
+                        assert log == [("eigvalsh", _digest(s.mat))]
                         self._assert_fallback(report, s, ref, ref_s)
-        assert outcomes == {True, False}
+        assert kinds == {"proved", "refuted", "eigvalsh"}
 
     def test_complex_proof_matches_eigenvalue_verdict_across_the_edge(self, decisions):
         # sigma on both sides of the conjectured edge sqrt(n) / 3. A proved
@@ -414,13 +440,15 @@ class TestPlantedProof:
         assert unique == {True, False}
         assert proved == {True, False}
 
-    @pytest.mark.parametrize("n, sigma, seed", [(12, 0.5, 5), (60, 1.0, 3), (40, 12.0, 6)])
+    @pytest.mark.parametrize("n, sigma, seed", [(12, 0.5, 5), (60, 1.0, 3), (12, 2.0, 1)])
     def test_failed_factorization_falls_back_to_the_eigenvalue_record(
             self, monkeypatch, decisions, n, sigma, seed):
         # Only the certificate's factorization fails; the noise-norm gate's
-        # factorizations run as usual. Beyond the threshold the factorization
-        # is not even tried (see the test below). The residual is ||S z||
-        # through T either way, so only the eigenvalue columns change.
+        # factorizations run as usual. The last trial is past the threshold
+        # with a positive diagonal, so its own factorization fails too; where
+        # a diagonal entry refutes the verdict, the factorization is not even
+        # tried (see the test below). The residual is ||S z|| through T
+        # either way, so only the eigenvalue columns change.
         plain = run_real_trial(n, sigma, seed)
         injected = _fail_proof(monkeypatch)
         rec = run_real_trial(n, sigma, seed)
@@ -430,12 +458,15 @@ class TestPlantedProof:
         expected = dataclasses.replace(
             plain, min_eig_S=report.min_eig, second_eig_S=report.second_eig,
             tight=report.tight, unique=report.unique)
-        assert injected == ([(n, n)] if plain.unique else [])
+        assert injected == [(n, n)]
         assert trial_csv_row(rec) == trial_csv_row(expected)
+        # A trial whose factorization fails by itself keeps its record.
+        assert plain.unique or trial_csv_row(rec) == trial_csv_row(plain)
 
     def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch, decisions):
-        # A diagonal entry of T = S + z z^T - tau I at or below 0 proves that
-        # its factorization fails, so it is not tried.
+        # A diagonal entry of T = S + z z^T - tau I at or below 0 puts the
+        # matching entry of S below -1, which refutes the verdict before any
+        # factorization is tried. The record carries the upper bounds.
         n, sigma, seed = 40, 12.0, 6
         z = random_signs(n, seed).vec
         w = sample_real_wigner(n, seed).mat
@@ -453,7 +484,11 @@ class TestPlantedProof:
         assert set(calls) == {hermitian.__name__}
         [(report, s)] = decisions
         ref_s, ref = self._eig_verdict(n, sigma, seed)
-        self._assert_fallback(report, s, ref, ref_s)
+        assert s is None and not ref.tight and not report.tight and not report.unique
+        slack = n * np.finfo(float).eps * np.linalg.norm(ref_s.mat)
+        assert report.min_eig >= ref.min_eig - slack
+        assert report.second_eig >= ref.second_eig - slack
+        assert report.diag_min == pytest.approx(ref.diag_min, abs=slack)
         assert (rec.min_eig_S, rec.second_eig_S, rec.residual) == (
             report.min_eig, report.second_eig, report.residual)
 

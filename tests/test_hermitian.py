@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from phasesync.hermitian import (EigensolverError, HermitianMatrix, cholesky_charge,
                                  extreme_eigs, norm_at_most, smallest_eigvals)
-from phasesync.model import sample_wigner
+from phasesync.model import REAL_WIGNER_STREAM, WIGNER_STREAM, philox_stream, sample_wigner
 from phasesync.z2 import sample_real_wigner
 
 from reference import jacobi_eigvalsh, operator_norm, power_opnorm, quad_form, quad_form_loops
@@ -90,6 +90,56 @@ class TestHermitianMatrix:
         big = 1e6 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         big[0, 1] += 1e-9
         HermitianMatrix(big)
+
+
+def _triangle_copy(upper, n):
+    # The construction the samplers used before HermitianMatrix.from_upper:
+    # triu_indices, W + W^H, then the constructor.
+    w = np.zeros((n, n), dtype=upper.dtype)
+    w[np.triu_indices(n, k=1)] = upper
+    return HermitianMatrix(w + w.conj().T)
+
+
+class TestFromUpper:
+    @pytest.mark.parametrize("case, n", [("real", n) for n in (2, 3, 25, 100, 401)]
+                             + [("complex", n) for n in (2, 5, 50, 201)])
+    def test_samplers_match_the_triangle_copy_bit_for_bit(self, case, n):
+        seed = 7 * n + 1
+        if case == "real":
+            rng = philox_stream(seed, REAL_WIGNER_STREAM)
+            want = _triangle_copy(rng.normal(0.0, 1.0, size=n * (n - 1) // 2), n)
+            got = sample_real_wigner(n, seed)
+        else:
+            rng = philox_stream(seed, WIGNER_STREAM)
+            m = n * (n - 1) // 2
+            upper = rng.normal(0.0, np.sqrt(0.5), size=m) + 1j * rng.normal(0.0, np.sqrt(0.5), size=m)
+            want = _triangle_copy(upper, n)
+            got = sample_wigner(n, seed)
+        assert got.mat.dtype == want.mat.dtype
+        assert got.mat.tobytes() == want.mat.tobytes()
+        assert not got.mat.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_upper_triangle_round_trips(self, dtype):
+        upper = _rng(3).normal(size=10).astype(dtype)
+        if dtype == np.complex128:
+            upper += 1j * _rng(4).normal(size=10)
+        h = HermitianMatrix.from_upper(upper)
+        assert h.n == 5 and h.mat.dtype == dtype
+        assert np.array_equal(h.mat, h.mat.conj().T)
+        assert np.array_equal(np.diag(h.mat), np.zeros(5))
+        assert np.array_equal(h.mat[np.triu_indices(5, k=1)], upper)
+        assert np.array_equal(h.mat, _triangle_copy(upper, 5).mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries_like_the_constructor(self, bad):
+        upper = np.ones(6)
+        upper[4] = bad
+        with pytest.raises(ValueError, match="NaN or infinite") as direct:
+            HermitianMatrix.from_upper(upper)
+        with pytest.raises(ValueError) as built:
+            _triangle_copy(upper, 4)
+        assert str(direct.value) == str(built.value)
 
 
 class TestExtremeEigs:

@@ -413,15 +413,23 @@ class TestEscape:
 
 
 def _assert_decided_like_certify(data, rep, decisions):
-    # The run's last decision is its verdict. Where no proof held, it is the
-    # eigenvalue verdict on the S it returned, field for field; that S is the
-    # certificate at x to rounding, and the flags are certify's.
+    # The run's last decision is its verdict, with certify's flags. Where a
+    # diagonal entry of S refuted it, its eigenvalues bound certify's from
+    # above within their rounding. Otherwise no proof held, and it is the
+    # eigenvalue verdict on the S it returned, field for field; that S is
+    # the certificate at x to rounding.
     report, s = decisions[-1]
-    assert s is not None and rep.certificate is report
-    assert report == verdict(s, report.residual)
+    assert rep.certificate is report
     ref = certify(data, rep.x)
     assert (report.tight, report.unique) == (ref.tight, ref.unique)
     b = build_certificate(data, rep.x).mat
+    if s is None:
+        assert not report.tight
+        slack = data.n * np.finfo(float).eps * np.linalg.norm(b)
+        assert report.min_eig >= ref.min_eig - slack
+        assert report.second_eig >= ref.second_eig - slack
+        return
+    assert report == verdict(s, report.residual)
     assert np.abs(s.mat - b).max() <= 4 * np.finfo(float).eps * np.abs(b).max()
 
 
@@ -507,6 +515,40 @@ class TestSharedDecompositions:
         data, x = _saddle_pair()
         rep = solve_second_order(data, x)
         assert rep.converged and rep.escapes == 0
+
+    def test_refutation_changes_no_iterate(self, monkeypatch):
+        # A solve whose verdicts all come from eigvalsh(S) takes the same
+        # escapes to the same x with the same flags: from the saddle pair and
+        # from random first-order saddles, which a diagonal entry of S
+        # refutes, and at a budget exit; with escapes and at the escape cap.
+        refuted = []
+        decide = certificate.decide
+
+        def counting(x, t, e):
+            report, s = decide(x, t, e)
+            refuted.append(s is None and not report.tight)
+            return report, s
+
+        def eigenvalues_only(x, t, e):
+            s = certificate.certificate_matrix(x, t)
+            return verdict(s, float(np.linalg.norm(e))), s
+
+        inst = _instance(50, 3.0, 9)
+        cases = [(*_saddle_pair(), {}), (inst.C, None, {"signal": inst.z, "max_iters": 1}),
+                 *((*_first_order_point(seed), {}) for seed in (723, 150, 1855))]
+        for max_escapes in (solver.MAX_ESCAPES, 0):
+            monkeypatch.setattr(solver, "MAX_ESCAPES", max_escapes)
+            for data, x0, kwargs in cases:
+                monkeypatch.setattr(solver, "decide", counting)
+                a = solve_second_order(data, x0, **kwargs)
+                monkeypatch.setattr(solver, "decide", eigenvalues_only)
+                b = solve_second_order(data, x0, **kwargs)
+                assert (a.escapes, a.iterations, a.converged) == (b.escapes, b.iterations,
+                                                                  b.converged)
+                assert np.array_equal(a.x.vec, b.x.vec)
+                assert (a.certificate.tight, a.certificate.unique) == (
+                    b.certificate.tight, b.certificate.unique)
+        assert any(refuted)
 
     def test_rejects_one_by_one(self):
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
