@@ -143,20 +143,6 @@ def trial_csv_row(record: TrialRecord) -> list[str]:
     return [_fmt(getattr(record, name)) for name in TRIAL_COLUMNS]
 
 
-def _record(case, n, sigma, rep, seed, t0, disc, cert, bounds, **solve) -> TrialRecord:
-    # The columns every trial fills alike, with its wall time since t0;
-    # ``solve`` holds converged, beat_planted, cost_x, cost_z and grad_norm.
-    return TrialRecord(
-        case=case, n=n, sigma=float(sigma), rep=rep, seed=seed, discordant=disc.discordant,
-        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
-        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
-        tight=cert.tight, unique=cert.unique,
-        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
-        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0, **solve,
-    )
-
-
 def run_trial_detailed(
     n: int,
     sigma: float,
@@ -176,10 +162,21 @@ def run_trial_detailed(
     rep_solve = solve_second_order(inst.C, signal=z, max_iters=max_iters)
     cert = rep_solve.certificate
     bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
-    record = _record("complex", n, sigma, rep, seed, t0, disc, cert, bounds,
-                     converged=rep_solve.converged, beat_planted=bool(rep_solve.beat_planted),
-                     cost_x=rep_solve.cost, cost_z=rep_solve.planted_cost,
-                     grad_norm=rep_solve.grad_norm)
+
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    record = TrialRecord(
+        case="complex", n=n, sigma=float(sigma), rep=rep, seed=seed,
+        discordant=disc.discordant,
+        converged=rep_solve.converged,
+        beat_planted=bool(rep_solve.beat_planted),
+        cost_x=rep_solve.cost, cost_z=rep_solve.planted_cost, grad_norm=rep_solve.grad_norm,
+        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
+        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
+        tight=cert.tight, unique=cert.unique,
+        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
+        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
+        runtime_ms=runtime_ms,
+    )
     return record, inst, rep_solve
 
 
@@ -211,9 +208,20 @@ def run_real_trial(n: int, sigma: float, seed: int, rep: int = 0) -> TrialRecord
     cert = planted_verdict(z, w, sigma)
     bounds = evaluate_bounds(zp, w, sigma, zp)
     cost_z = n * n + sigma * float(z.vec @ (w.mat @ z.vec))
-    return _record("real", n, sigma, rep, seed, t0, disc, cert, bounds,
-                   converged=True, beat_planted=True, cost_x=cost_z, cost_z=cost_z,
-                   grad_norm=2.0 * cert.residual)
+
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    return TrialRecord(
+        case="real", n=n, sigma=float(sigma), rep=rep, seed=seed,
+        discordant=disc.discordant,
+        converged=True, beat_planted=True,
+        cost_x=cost_z, cost_z=cost_z, grad_norm=2.0 * cert.residual,
+        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
+        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
+        tight=cert.tight, unique=cert.unique,
+        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
+        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
+        runtime_ms=runtime_ms,
+    )
 
 
 def _trial_from_args(args) -> TrialRecord:
@@ -477,5 +485,14 @@ def parse_grid_config(path) -> GridConfig:
     else:
         raise ConfigError(f"{path}: missing sigma_list or sigma_min/max/count")
 
-    scalars = {k: convert(k, kind, raw[k]) for k, kind in _SCALAR_KEYS.items() if k in raw}
-    return GridConfig(n_values=n_values, sigmas=sigmas, **{"case": "complex", **scalars})
+    scalar_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SCALAR_KEYS.items() if k in raw}
+    return GridConfig(
+        case=scalar_kwargs.get("case", "complex"),
+        n_values=n_values,
+        sigmas=sigmas,
+        reps=scalar_kwargs.get("reps", 1),
+        seed_base=scalar_kwargs.get("seed_base", 0),
+        workers=scalar_kwargs.get("workers", 1),
+        out=scalar_kwargs.get("out", "grid.csv"),
+        max_iters=scalar_kwargs.get("max_iters", MAX_ITERS),
+    )

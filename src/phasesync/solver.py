@@ -28,17 +28,18 @@ synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
   loop's half gradient ``e = S x``: refuted by a diagonal entry of ``S``, with
   upper bounds on its eigenvalues; proved tight and unique by one Cholesky
   factorization; or else decided on the eigenvalues of ``S``, which it
-  returns. A proved point is the global optimum and needs no escape test.
-  Only when ``min_eig(S)``, or its bound, is below ``-ESCAPE_TOL * n`` is
-  ``H`` formed, from ``S`` (which a refuted point forms only then); a
-  Cholesky factorization of ``H + ESCAPE_TOL * n I`` then proves that no
-  escape exists, and only when it fails is ``H`` decomposed
-  (one real eigensolve). If ``min_eig(H)`` is below the floor, its
-  eigenvector gives a unit tangent direction of curvature ``2 min_eig(H)``;
-  a backtracking step along it strictly increases the cost, and the ascent
-  resumes. Otherwise the point is second-order critical. The floor also
-  keeps the global-phase kernel ``H 1 = 0`` from being taken as a
-  direction. At most ``MAX_ESCAPES`` escapes are taken.
+  returns. A proved point is the global optimum and needs no escape test;
+  a refuted one that may still escape is decided on the eigenvalues of
+  ``S`` after all, since the test needs ``min_eig(S)``, not a bound on it.
+  Only when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed; a Cholesky
+  factorization of ``H + ESCAPE_TOL * n I`` then proves that no escape
+  exists, and only when it fails is ``H`` decomposed (one real eigensolve).
+  If ``min_eig(H)`` is below the floor, its eigenvector gives a unit tangent
+  direction of curvature ``2 min_eig(H)``; a backtracking step along it
+  strictly increases the cost, and the ascent resumes. Otherwise the point
+  is second-order critical. The floor also keeps the global-phase kernel
+  ``H 1 = 0`` from being taken as a direction. At most ``MAX_ESCAPES``
+  escapes are taken.
 
 Every exit (convergence, the iteration budget, the escape cap) ends with
 that verdict on the point it returns, and the report carries it.
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RANK_TOL, CertificateReport, certificate_matrix, decide
+from .certificate import RANK_TOL, CertificateReport, certificate_matrix, decide, verdict
 from .hermitian import (EIG_RESIDUAL_TOL, EigensolverError, HermitianMatrix, extreme_eigs,
                         smallest_eigvals)
 from .model import PhaseVector
@@ -146,17 +147,6 @@ def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
     # gated values-only solve.
     vals = smallest_eigvals(data, data.n)
     return max(0.0, -float(vals[0])), float(vals[-1])
-
-
-def _decide_t(data: HermitianMatrix, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # The T that ``decide`` takes at x, from the power loop's own
-    # a = Re(w o xbar), w = C x: T = x x* - C with diagonal
-    # a - Re diag(C) + |x|^2 - tau.
-    t = np.outer(x, x.conj())
-    t -= data.mat
-    np.fill_diagonal(t, a - np.diagonal(data.mat).real + (x.real * x.real + x.imag * x.imag)
-                     - RANK_TOL * x.size)
-    return t
 
 
 def _tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
@@ -276,15 +266,22 @@ def solve_second_order(
                 np.divide(y, r, out=x, where=r > PHASE_FLOOR)
             iterations += 1
             continue
-        # Every exit decides the verdict on its x. A converged point below the
-        # escape cap first tries to leave along negative curvature; the
-        # verdict on a point it leaves is dropped.
-        cert, s = decide(x, _decide_t(data, x, a), e)
-        if (converged and escapes < MAX_ESCAPES and cert.error is None
-                and cert.min_eig < -ESCAPE_TOL * n):
+        # Every exit decides the verdict on its x, from T = x x* - C with
+        # diagonal a - Re diag(C) + |x|^2 - tau and e = S x. A converged
+        # point below the escape cap first tries to leave along negative
+        # curvature; the verdict on a point it leaves is dropped. Its escape
+        # test needs min_eig(S) itself, not a refutation's upper bound.
+        t = np.outer(x, x.conj())
+        t -= cmat
+        np.fill_diagonal(t, a - np.diagonal(cmat).real + (x.real * x.real + x.imag * x.imag)
+                         - RANK_TOL * n)
+        cert, s = decide(x, t, e)
+        may_escape = converged and escapes < MAX_ESCAPES
+        if may_escape and s is None and not cert.tight:
+            s = certificate_matrix(x, t)
+            cert = verdict(s, cert.residual)
+        if may_escape and cert.error is None and cert.min_eig < -ESCAPE_TOL * n:
             point = PhaseVector(x)
-            if s is None:  # refuted: S is formed, from T again, only to escape
-                s = certificate_matrix(x, _decide_t(data, x, a))
             try:
                 direction = _negative_curvature(point, s)
             except EigensolverError as exc:

@@ -265,7 +265,9 @@ class TestDecide:
             s_mat = t - np.outer(x, x) + tau * np.eye(n)
             report, s = decide(x, t, s_mat @ x)
             assert (s is None) == proved
-            if not proved:
+            if proved:
+                assert report.tight and report.unique and report.second_eig == tau
+            else:
                 assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
 
     @pytest.mark.parametrize("n", [2, 5, 30])

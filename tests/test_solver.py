@@ -43,6 +43,23 @@ def _first_order_point(seed):
     return HermitianMatrix(-(p @ (a + a.conj().T) @ p)), PhaseVector(x)
 
 
+def _shallow_diagonal_saddle():
+    # C = -S at x = 1, where S 1 = 0 and S has the eigenvalue -1 on
+    # (0, 1, -1, 0), but its smallest diagonal entry -4e-11 lies between
+    # -ESCAPE_TOL * n and the floor PSD_TOL * n: the diagonal refutes
+    # tightness, while the 2 x 2 bound on min_eig(S), -4e-11, is too shallow
+    # to call for an escape.
+    n = 4
+    u = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    v = np.array([0.0, 1.0, 1.0, -2.0]) / math.sqrt(6.0)
+    s = 10.0 * np.outer(v, v) - np.outer(u, u)
+    eps = -1e-11 * n
+    s[0, 0] = eps
+    s[0, 3] = s[3, 0] = -eps
+    s[3, 3] += eps
+    return HermitianMatrix(-s.astype(complex)), PhaseVector(np.ones(n, dtype=complex))
+
+
 def _tangent_hessian_min_eig(data, point):
     # Smallest eigenvalue of H = Re(diag(xbar) S diag(x)): half the Hessian
     # of -x* C x in the tangent coordinates theta of i x o theta, assembled
@@ -534,7 +551,8 @@ class TestSharedDecompositions:
             return verdict(s, float(np.linalg.norm(e))), s
 
         inst = _instance(50, 3.0, 9)
-        cases = [(*_saddle_pair(), {}), (inst.C, None, {"signal": inst.z, "max_iters": 1}),
+        cases = [(*_saddle_pair(), {}), (*_shallow_diagonal_saddle(), {}),
+                 (inst.C, None, {"signal": inst.z, "max_iters": 1}),
                  *((*_first_order_point(seed), {}) for seed in (723, 150, 1855))]
         for max_escapes in (solver.MAX_ESCAPES, 0):
             monkeypatch.setattr(solver, "MAX_ESCAPES", max_escapes)
@@ -549,6 +567,18 @@ class TestSharedDecompositions:
                 assert (a.certificate.tight, a.certificate.unique) == (
                     b.certificate.tight, b.certificate.unique)
         assert any(refuted)
+
+    def test_refuted_saddle_escapes_on_the_eigenvalues_of_s(self, decisions):
+        # At a converged point that may still escape, a refutation's upper
+        # bound on min_eig(S) does not decide the escape test: the solver
+        # leaves a saddle whose shallow diagonal refutes it.
+        data, x0 = _shallow_diagonal_saddle()
+        rep = solve_second_order(data, x0)
+        report, s = decisions[0]
+        assert s is None and not report.tight
+        assert report.min_eig >= -ESCAPE_TOL * data.n
+        assert rep.converged and rep.escapes >= 1
+        assert rep.certificate.min_eig >= -ESCAPE_TOL * data.n
 
     def test_rejects_one_by_one(self):
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
