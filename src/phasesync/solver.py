@@ -17,19 +17,20 @@ synchronization"), so ``min_eig(H) >= min_eig(S)``. The pieces:
   inverse iteration just above that eigenvalue gives the top eigenvector,
   whose phases are the spectral start. No eigendecomposition of ``C`` is
   formed;
-* projected power iterations on ``C + lam I`` map ``x`` to the entrywise
-  phase of ``(C + lam I) x``; each never decreases the objective
-  (majorize-minimize argument). First-order convergence is declared when the
-  Riemannian gradient norm falls below ``GRAD_TOL * n``;
+* projected power iterations map ``x`` to the entrywise phase of
+  ``y = (C + lam I) x``, one product with a matrix formed once per start;
+  each never decreases the objective (majorize-minimize argument).
+  First-order convergence is declared when the Riemannian gradient norm,
+  ``2 ||Im(y o xbar)||``, falls below ``GRAD_TOL * n``;
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
 * at a first-order point ``certificate.decide`` gives the verdict, from the
-  loop's half gradient ``e = S x``: refuted by a diagonal entry of ``S``, with
-  upper bounds on its eigenvalues; proved tight and unique by one Cholesky
-  factorization; or else decided on the eigenvalues of ``S``, which it
-  returns. A proved point is the global optimum and needs no escape test;
-  a refuted one that may still escape is decided on the eigenvalues of
+  half gradient ``e = S x``, formed at the exit: refuted by a diagonal entry
+  of ``S``, with upper bounds on its eigenvalues; proved tight and unique by
+  one Cholesky factorization; or else decided on the eigenvalues of ``S``,
+  which it returns. A proved point is the global optimum and needs no escape
+  test; a refuted one that may still escape is decided on the eigenvalues of
   ``S`` after all, since the test needs ``min_eig(S)``, not a bound on it.
   Only when ``min_eig(S) < -ESCAPE_TOL * n`` is ``H`` formed; a Cholesky
   factorization of ``H + ESCAPE_TOL * n I`` then proves that no escape
@@ -93,10 +94,11 @@ class SolverReport:
     tracked separately. ``planted_cost`` and ``beat_planted`` are None when
     no planted signal was supplied; otherwise they are the planted cost
     ``z* C z`` and whether ``cost >= planted_cost - BEAT_COST_SLACK n^2``.
-    ``converged`` implies ``grad_norm <= GRAD_TOL * n``. ``certificate`` is
-    the verdict of ``certificate.decide`` on ``x``: its ``residual`` is the
-    loop's ``||S x||``, and ``min_eig`` and ``second_eig`` are eigenvalues of
-    ``S``, or bounds on them where a factorization proved the verdict.
+    ``converged`` implies ``grad_norm <= GRAD_TOL * n``; ``grad_norm``, read
+    off the last power step, is ``2 ||S x||`` up to rounding. ``certificate``
+    is the verdict of ``certificate.decide`` on ``x``: its ``residual`` is
+    ``||S x||``, and ``min_eig`` and ``second_eig`` are eigenvalues of ``S``,
+    or bounds on them where a factorization proved the verdict.
     """
 
     x: PhaseVector
@@ -229,34 +231,27 @@ def solve_second_order(
         cost_z = float(np.vdot(signal.vec, cmat @ signal.vec).real)
 
     def work(v):
-        # A copy of the iterate and the arrays its power steps fill in place:
-        # w = C x, xbar, w o xbar, e, y = w + lam x and r = |y|. Allocated
-        # once per starting point (the start, the plant, an escape).
+        # A copy of the iterate, C + lam I (every exit builds T in it) and the
+        # arrays a power step fills in place: y, xbar, y o xbar and r = |y|.
+        # Set up once per starting point (the start, the plant, an escape).
         v = np.array(v, dtype=np.result_type(cmat, v))
-        return v, *(np.empty_like(v) for _ in range(5)), np.empty(v.shape)
+        c = cmat.astype(v.dtype)
+        c[np.diag_indices(n)] += shift
+        return v, c, *(np.empty_like(v) for _ in range(3)), np.empty(v.shape)
 
-    x, w, xc, wx, e, y, r = work(x0.vec)
+    x, cshift, y, xc, yx, r = work(x0.vec)
     iterations = 0
     escapes = 0
     restarted = False
 
     while True:
-        np.matmul(cmat, x, out=w)
-        # e = S x is half the Riemannian gradient of -x* C x, and gn its norm
-        # (numpy's own formula for a vector norm); a = Re(w o xbar).
-        np.multiply(w, np.conjugate(x, out=xc), out=wx)
-        a = wx.real
-        np.subtract(np.multiply(a, x, out=e), w, out=e)
-        gn = 2.0 * math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))
+        np.matmul(cshift, x, out=y)
+        # Half the Riemannian gradient of -x* C x is e = S x, and |e_i| =
+        # |Im((C x)_i xbar_i)| = |Im(y_i xbar_i)| as lam |x_i|^2 is real.
+        b = np.multiply(y, np.conjugate(x, out=xc), out=yx).imag
+        gn = 2.0 * math.sqrt(b.dot(b))
         converged = gn <= tol
-        if converged:
-            cost_x = float(np.vdot(x, w).real)
-            if signal is not None and not restarted and cost_x < cost_z:
-                x, w, xc, wx, e, y, r = work(signal.vec)
-                restarted = True
-                continue
-        elif iterations < max_iters:
-            np.add(w, np.multiply(shift, x, out=y), out=y)
+        if not converged and iterations < max_iters:
             np.abs(y, out=r)
             # The guard for entries without a usable phase, only when one
             # exists: those keep their previous phase.
@@ -266,16 +261,23 @@ def solve_second_order(
                 np.divide(y, r, out=x, where=r > PHASE_FLOOR)
             iterations += 1
             continue
-        # Every exit decides the verdict on its x, from T = x x* - C with
-        # diagonal a - Re diag(C) + |x|^2 - tau and e = S x. A converged
-        # point below the escape cap first tries to leave along negative
-        # curvature; the verdict on a point it leaves is dropped. Its escape
-        # test needs min_eig(S) itself, not a refutation's upper bound.
-        t = np.outer(x, x.conj())
+        w = cmat @ x
+        cost = float(np.vdot(x, w).real)
+        if converged and signal is not None and not restarted and cost < cost_z:
+            x, cshift, y, xc, yx, r = work(signal.vec)
+            restarted = True
+            continue
+        # Every exit decides the verdict on its x, from e = S x and T = x x* - C
+        # with diagonal a - Re diag(C) + |x|^2 - tau, built in the buffer of
+        # C + lam I. A converged point below the escape cap first tries to
+        # leave along negative curvature; the verdict on a point it leaves is
+        # dropped. Its escape test needs min_eig(S), not a refutation's bound.
+        a = (w * xc).real
+        t = np.outer(x, xc, out=cshift)
         t -= cmat
         np.fill_diagonal(t, a - np.diagonal(cmat).real + (x.real * x.real + x.imag * x.imag)
                          - RANK_TOL * n)
-        cert, s = decide(x, t, e)
+        cert, s = decide(x, t, a * x - w)
         may_escape = converged and escapes < MAX_ESCAPES
         if may_escape and s is None and not cert.tight:
             s = certificate_matrix(x, t)
@@ -288,16 +290,14 @@ def solve_second_order(
                 logger.warning("no escape tried: %s", exc)
                 direction = None
             if direction is not None:
-                moved = _escape_step(data, point, direction, cost_x)
+                moved = _escape_step(data, point, direction, cost)
                 if moved is not None:
-                    x, w, xc, wx, e, y, r = work(moved)
+                    x, cshift, y, xc, yx, r = work(moved)
                     escapes += 1
                     continue
                 logger.warning("negative curvature found but no ascent step succeeded")
         break
 
-    # Every exit leaves w = C x and gn for the final x.
-    cost = float(np.vdot(x, w).real)
     beat = None
     if signal is not None:
         beat = bool(cost >= cost_z - BEAT_COST_SLACK * n * n)

@@ -164,16 +164,19 @@ def power_opnorm(mat: np.ndarray, iters: int = 4000, seed: int = 0) -> float:
 
 
 def power_iterates(mat: np.ndarray, x: np.ndarray, shift: float, steps: int):
-    """Projected power steps x <- phase((M + shift I) x), leaving entries
-    below 1e-14 in modulus at their previous phase, with the gradient norm
-    ``||2 Re(w o conj(x)) o x - 2 w||`` (``w = M x``) of the final iterate."""
+    """Projected power steps x <- phase((M + shift I) x), with ``M + shift I``
+    formed once and entries of the product below 1e-14 in modulus left at
+    their previous phase, and the gradient norm ``2 ||Im(y o conj(x))||``
+    (``y = (M + shift I) x``) of the final iterate, reduced as ``2 sqrt(b.b)``."""
+    m = mat.copy()
+    np.fill_diagonal(m, np.diagonal(mat) + shift)
     for _ in range(steps):
-        y = mat @ x + shift * x
+        y = m @ x
         a = np.abs(y)
         safe = a > 1e-14
         x = np.where(safe, y / np.where(safe, a, 1.0), x)
-    w = mat @ x
-    return x, float(np.linalg.norm(2.0 * (w * x.conj()).real * x - 2.0 * w))
+    b = ((m @ x) * x.conj()).imag
+    return x, 2.0 * float(np.sqrt(b.dot(b)))
 
 
 def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:

@@ -136,10 +136,12 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_derivative_correctness():
     # The derivatives the solver runs, of the descent functional -x* C x:
-    # the gradient 2 S x (twice the power loop's e = S x) and the Hessian
-    # along v = i x o theta, i x o (2 H theta) with the escape test's tangent
-    # Hessian H. The references are finite differences of the cost and of
-    # the projected ambient gradient, along the solver's own retraction.
+    # the gradient 2 S x (twice the e = S x of the solver's exits, whose norm
+    # its power steps read off Im((C + lam I) x o xbar); see
+    # test_solver.py::TestGradientNorm) and the Hessian along v = i x o theta,
+    # i x o (2 H theta) with the escape test's tangent Hessian H. The
+    # references are finite differences of the cost and of the projected
+    # ambient gradient, along the solver's own retraction.
     t0 = time.perf_counter()
     n = 7
     rng = np.random.default_rng(606)

@@ -234,10 +234,11 @@ class TestModerateNoise:
 
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     def test_iterates_match_the_plain_power_loop_bit_for_bit(self, monkeypatch, sigma):
-        # The loop reuses its half gradient, fills preallocated arrays in
-        # place and skips the small-modulus guard when no entry needs it;
-        # none of this may change a bit of any iterate. The shift comes from
-        # the solver's own values-only solve of C.
+        # The loop forms C + shift I once, reads the gradient norm off the
+        # product it steps with, fills preallocated arrays in place and skips
+        # the small-modulus guard when no entry needs it; none of this may
+        # change a bit of any iterate or of the gradient norm. The shift comes
+        # from the solver's own values-only solve of C.
         n = 30
         inst = _instance(n, sigma, 17)
         x0 = _spectral_start(inst.C)
@@ -251,14 +252,15 @@ class TestModerateNoise:
             assert rep.grad_norm == grad_norm
 
     def test_guarded_step_matches_the_plain_power_loop_bit_for_bit(self, monkeypatch):
-        # min_eig(C) = 0 and (C x)_1 = 0, so the first step leaves x_1 at its
-        # previous phase through the small-modulus guard; the gradient is
-        # not zero, so the step runs.
+        # min_eig(C) = 0 and ((C + shift I) x)_1 = 0, so the first step leaves
+        # x_1 at its previous phase through the small-modulus guard; the
+        # gradient is not zero, so the step runs.
         data = HermitianMatrix(np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
                                         dtype=complex))
         x0 = PhaseVector(np.array([1.0, 1.0, 1.0j]))
         shift = max(0.0, -float(smallest_eigvals(data, 1)[0]))
-        assert abs((data.mat @ x0.vec)[0] + shift) <= 1e-14
+        shifted = data.mat + shift * np.eye(3)
+        assert abs((shifted @ x0.vec)[0]) <= 1e-14
         monkeypatch.setattr(solver, "GRAD_TOL", 1e-300)
         for budget in (1, 5):
             rep = solve_second_order(data, x0, max_iters=budget)
@@ -517,7 +519,7 @@ class TestSharedDecompositions:
         assert not rep.certificate.tight
 
     def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch):
-        # Every exit takes its verdict from the loop's own T and e: a
+        # Every exit takes its verdict from the T and e it forms itself: a
         # converged run, one that spends its budget and one at the escape
         # cap never build S from C, nor call certify.
         def refuse(*args, **kwargs):
@@ -584,6 +586,53 @@ class TestSharedDecompositions:
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
         with pytest.raises(ValueError):
             solve_second_order(data, PhaseVector(np.array([1.0 + 0j])))
+
+
+class TestGradientNorm:
+    """The loop reads the gradient norm off its power product as
+    ``2 ||Im(y o xbar)||``, ``y = (C + lam I) x``; in exact arithmetic that is
+    ``2 ||Re(w o xbar) o x - w||`` with ``w = C x``, and the verdict's
+    residual is ``||S x||``. Both must agree with those definitions within
+    rounding at every kind of exit."""
+
+    @staticmethod
+    def _assert_same_gradient(data, rep):
+        # g = (n + 4) eps is a gamma_{n+4}. The products with C + lam I and
+        # with C, and the few entrywise operations after them, each err by at
+        # most a few g times the row sums of |C| + lam I per entry (those of
+        # |S| are at most three times those of |C|).
+        n = data.n
+        c, x = data.mat, rep.x.vec
+        g = (n + 4) * np.finfo(float).eps
+        bound = 16 * g * np.linalg.norm(np.abs(c).sum(axis=1) + _spectrum(data)[0])
+        w = c @ x
+        gradient = 2.0 * (w * x.conj()).real * x - 2.0 * w
+        assert abs(rep.grad_norm - np.linalg.norm(gradient)) <= bound
+        assert abs(rep.certificate.residual - certify(data, rep.x).residual) <= bound
+
+    def test_converged_exit(self):
+        inst = _instance(60, 0.5, 3)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
+        assert rep.converged and rep.iterations > 0
+        self._assert_same_gradient(inst.C, rep)
+
+    def test_budget_exit(self):
+        inst = _instance(50, 3.0, 9)
+        for budget in (1, 30):
+            rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=budget)
+            assert not rep.converged and rep.iterations == budget
+            self._assert_same_gradient(inst.C, rep)
+
+    def test_exit_after_the_planted_restart(self):
+        # The start is first-order critical with cost 0 and the plant costs
+        # more, so the restart fires at once: every power step comes after it.
+        data, x0 = _first_order_point(7)
+        rng = np.random.default_rng(107)
+        z = PhaseVector(np.exp(2j * np.pi * rng.random(data.n)))
+        assert quad_form(data, z.vec) > 1.0
+        rep = solve_second_order(data, x0, signal=z)
+        assert rep.converged and rep.iterations > 0 and rep.beat_planted
+        self._assert_same_gradient(data, rep)
 
 
 class TestReportInvariants:
