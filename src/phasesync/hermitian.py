@@ -99,12 +99,12 @@ def extreme_eigs(h: HermitianMatrix, index: int) -> tuple[float, np.ndarray]:
     ascending spectrum of ``h``.
 
     One dense ``numpy.linalg.eigh`` (a caller that reads no vector asks
-    :func:`smallest_eigvals`). The solver calls it for the escape direction
-    on its tangent Hessian, and for the spectral start only when its
-    inverse-iteration vector fails the residual gate below. LAPACK's
-    Hermitian eigensolver is backward stable: its values are exact for a
-    matrix within a small multiple of ``eps ||H||`` of ``h``. The vector is
-    unit-norm with the dtype of ``h.mat``: real for a real-symmetric matrix.
+    :func:`smallest_eigvals`). In the package only the solver's spectral
+    start calls it, when its inverse-iteration vector fails the residual gate
+    below. LAPACK's Hermitian eigensolver is backward stable: its values are
+    exact for a matrix within a small multiple of ``eps ||H||`` of ``h``. The
+    vector is unit-norm with the dtype of ``h.mat``: real for a
+    real-symmetric matrix.
     Raises EigensolverError if LAPACK fails to converge, or the residual
     ``||H v - lam v||`` exceeds ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)``.
     """

@@ -10,7 +10,9 @@ read a spectral norm (the package decides its norm bound by factorization).
 The torus derivatives of ``g(x) = -x* C x`` (:func:`riemannian_grad`,
 :func:`hessian_vec`, through :func:`project_tangent`) are written as
 projections of ambient derivatives, independently of the certificate form
-the solver evaluates. Tangent vectors are plain ambient arrays.
+the solver evaluates. Tangent vectors are plain ambient arrays; :func:`retract`
+moves along them, and :func:`tangent_hessian` is the Hessian in the real
+coordinates of a tangent vector, read off the certificate.
 :func:`real_certificate` is the closed form of the real certificate at the
 planted signs, built entry by entry rather than from the matrix the
 package's verdict starts from.
@@ -103,6 +105,23 @@ def project_tangent(point: PhaseVector, vec) -> np.ndarray:
         raise ValueError(f"vector shape {v.shape} does not match point size {point.n}")
     x = point.vec
     return v - (v * x.conj()).real * x
+
+
+def retract(x: np.ndarray, d: np.ndarray, step: float) -> PhaseVector:
+    """Entrywise renormalization of ``x + step d``, which agrees with the
+    exponential map of the torus to second order. For a tangent
+    ``d = i x o theta``, ``|x_i + step d_i|^2 = 1 + step^2 theta_i^2``, so no
+    entry vanishes."""
+    y = x + step * d
+    return PhaseVector(y / np.abs(y))
+
+
+def tangent_hessian(x: np.ndarray, s: HermitianMatrix) -> HermitianMatrix:
+    """``H = Re(diag(xbar) S diag(x))`` for the certificate ``s`` at ``x``:
+    the Hessian of ``-x* C x`` at ``x`` along ``i x o theta`` is
+    ``i x o (2 H theta)``, so its quadratic form there is
+    ``2 theta^T H theta`` (Boumal 2016, "Nonconvex phase synchronization")."""
+    return HermitianMatrix((x.conj()[:, None] * s.mat * x[None, :]).real)
 
 
 def riemannian_grad(data: HermitianMatrix, point: PhaseVector) -> np.ndarray:

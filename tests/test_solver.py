@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from phasesync import certificate, solver
 from phasesync.certificate import build_certificate, certify, verdict
-from phasesync.hermitian import EigensolverError, HermitianMatrix, smallest_eigvals
+from phasesync.hermitian import HermitianMatrix, smallest_eigvals
 from phasesync.metrics import align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
-from phasesync.solver import (ESCAPE_TOL, _negative_curvature, _round_phases, _spectrum,
-                              _top_vector, solve_second_order)
+from phasesync.solver import _round_phases, _spectrum, _top_vector, solve_second_order
 
-from reference import hessian_vec, power_iterates, quad_form, real_inner, verdict_at
+from reference import hessian_vec, power_iterates, quad_form
 
 
 def _instance(n, sigma, seed):
@@ -45,10 +44,9 @@ def _first_order_point(seed):
 
 def _shallow_diagonal_saddle():
     # C = -S at x = 1, where S 1 = 0 and S has the eigenvalue -1 on
-    # (0, 1, -1, 0), but its smallest diagonal entry -4e-11 lies between
-    # -ESCAPE_TOL * n and the floor PSD_TOL * n: the diagonal refutes
-    # tightness, while the 2 x 2 bound on min_eig(S), -4e-11, is too shallow
-    # to call for an escape.
+    # (0, 1, -1, 0), but its smallest diagonal entry is only -4e-11, below
+    # the floor PSD_TOL * n: the diagonal refutes tightness, with a 2 x 2
+    # upper bound of about -4e-11 on min_eig(S).
     n = 4
     u = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     v = np.array([0.0, 1.0, 1.0, -2.0]) / math.sqrt(6.0)
@@ -78,7 +76,6 @@ class TestOptions:
         # max_iters is the one value a caller sets; the rest are constants.
         assert solver.GRAD_TOL == 1e-10
         assert solver.MAX_ITERS == 500
-        assert solver.MAX_ESCAPES == 5
         assert inspect.signature(solve_second_order).parameters["max_iters"].default == 500
 
     def test_validation(self):
@@ -322,115 +319,6 @@ class TestRestartFromPlanted:
         assert flags == [True, False]
 
 
-def _escape_direction(data, point):
-    # The solver's escape decision: the values-only verdict on the
-    # certificate, then the tangent Hessian only below -ESCAPE_TOL * n.
-    s = build_certificate(data, point)
-    if verdict_at(s, point.vec).min_eig >= -ESCAPE_TOL * data.n:
-        return None
-    return _negative_curvature(point, s)
-
-
-class TestEscape:
-    def test_direction_at_engineered_saddle(self):
-        data, x = _saddle_pair()
-        d = _escape_direction(data, x)
-        assert d is not None
-        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
-        curv = real_inner(d, hessian_vec(data, x, d))
-        # The bottom eigenvalue of H = S = [[-1, 1], [1, -1]] is -2.
-        assert curv == pytest.approx(-4.0, abs=1e-12)
-
-    def test_none_at_global_optimum(self):
-        data, _ = _saddle_pair()
-        opt = PhaseVector(np.array([1.0 + 0j, -1.0 + 0j]))
-        assert _escape_direction(data, opt) is None
-        assert solve_second_order(data, opt).escapes == 0
-
-    def test_solver_escapes_saddle_to_optimum(self):
-        data, x = _saddle_pair()
-        rep = solve_second_order(data, x)
-        assert rep.converged
-        assert rep.escapes >= 1
-        assert rep.cost == pytest.approx(4.0, abs=1e-9)
-
-    def test_escape_cap_respected(self, monkeypatch):
-        data, x = _saddle_pair()
-        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
-        rep = solve_second_order(data, x)
-        # With escapes disabled the saddle is declared converged at cost 0.
-        assert rep.converged
-        assert rep.escapes == 0
-        assert rep.cost == pytest.approx(0.0, abs=1e-12)
-
-    def test_escape_eigensolve_failure_is_in_band(self, monkeypatch):
-        # The verdict sees the saddle from eigenvalues alone; the solve on
-        # the tangent Hessian H then fails. No escape is tried and nothing
-        # is raised: the report keeps the verdict, not tight.
-        data, x = _saddle_pair()
-        extreme_eigs_ = solver.extreme_eigs
-
-        def fail_off_data(h, *args):
-            if h is not data:
-                raise EigensolverError("injected failure")
-            return extreme_eigs_(h, *args)
-
-        monkeypatch.setattr(solver, "extreme_eigs", fail_off_data)
-        rep = solve_second_order(data, x)
-        assert rep.converged and rep.escapes == 0
-        assert rep.cost == pytest.approx(0.0, abs=1e-12)
-        assert rep.certificate.error is None
-        assert rep.certificate.min_eig < -1e-10 * data.n
-        assert not rep.certificate.tight and not rep.certificate.unique
-
-    @pytest.mark.parametrize("seed", [723, 150, 1855])
-    def test_escapes_saddle_of_random_first_order_point(self, seed):
-        # Random first-order saddles: these seeds give n = 5, 5, 6 and
-        # min_eig(H) of about -1.9, -1.5, -1.5. The solver must leave each
-        # one for a second-order critical point.
-        data, x = _first_order_point(seed)
-        assert _tangent_hessian_min_eig(data, x) < -1e-3 * data.n
-        rep = solve_second_order(data, x)
-        assert rep.converged
-        assert rep.escapes >= 1
-        assert _tangent_hessian_min_eig(data, rep.x) >= -ESCAPE_TOL * data.n
-
-    def test_factorized_hessian_runs_no_eigensolve(self, monkeypatch):
-        # A second-order critical point that is not tight: S has a negative
-        # eigenvalue, so H is formed, and a Cholesky factorization of
-        # H + ESCAPE_TOL n I proves that there is no escape.
-        n = 12
-        inst = _instance(n, 3.0, 1)
-        rep = solve_second_order(inst.C, None, signal=inst.z)
-        assert rep.converged and rep.escapes == 0
-        assert rep.certificate.min_eig < -ESCAPE_TOL * n
-        s = build_certificate(inst.C, rep.x)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def watched(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", watched)
-        assert _negative_curvature(rep.x, s) is None
-        assert calls == []
-        monkeypatch.undo()
-        assert _tangent_hessian_min_eig(inst.C, rep.x) >= -ESCAPE_TOL * n
-
-    def test_orthogonal_start_noiseless(self):
-        # A start orthogonal to the planted signal lands on the zero-gradient
-        # plateau of the rank-one objective; only the escape logic moves it.
-        z = PhaseVector(np.ones(4, dtype=complex))
-        w = sample_wigner(4, 0)
-        inst = assemble_instance(z, w, 0.0, 0)
-        x0 = PhaseVector(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
-        rep = solve_second_order(inst.C, x0)
-        assert rep.converged
-        corr = abs(np.vdot(z.vec, rep.x.vec))
-        assert 2.0 * (4.0 - corr) <= 1e-8 * 4.0
-
-
 def _assert_decided_like_certify(data, rep, decisions):
     # The run's last decision is its verdict, with certify's flags. Where a
     # diagonal entry of S refuted it, its eigenvalues bound certify's from
@@ -463,21 +351,56 @@ def _assert_proved_like_certify(data, rep):
     assert cert.second_eig <= ref.second_eig + slack
 
 
+def _plateau_start():
+    # sigma = 0 and z = 1: C is all ones, and the start (1, -1, 1, -1) is
+    # orthogonal to z, a first-order point on the zero-gradient plateau of
+    # the rank-one objective.
+    z = PhaseVector(np.ones(4, dtype=complex))
+    inst = assemble_instance(z, sample_wigner(4, 0), 0.0, 0)
+    return inst.C, PhaseVector(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
+
+
+_SADDLES = {"pair": _saddle_pair(), "shallow_diagonal": _shallow_diagonal_saddle(),
+            "plateau": _plateau_start(),
+            **{f"first_order_{seed}": _first_order_point(seed) for seed in (723, 150, 1855)}}
+
+
+class TestFirstOrderExit:
+    """The solver stops at a first-order point and takes no step along
+    negative curvature. Started at a strict saddle, it returns the saddle
+    itself, converged, with its verdict: not tight, with certify's flags."""
+
+    @pytest.mark.parametrize("name", sorted(_SADDLES))
+    def test_saddle_start_is_returned_with_its_verdict(self, name, decisions):
+        data, x0 = _SADDLES[name]
+        assert _tangent_hessian_min_eig(data, x0) < -1e-3 * data.n
+        rep = solve_second_order(data, x0)
+        assert rep.converged and rep.iterations == 0 and rep.escapes == 0
+        assert np.array_equal(rep.x.vec, x0.vec)
+        assert len(decisions) == 1
+        _assert_decided_like_certify(data, rep, decisions)
+        assert not rep.certificate.tight and not rep.certificate.unique
+        if name == "shallow_diagonal":
+            # A converged row the diagonal refutes keeps the refutation's
+            # upper bounds: S is never formed, and min_eig is the 2 x 2 bound
+            # -4e-11, not the eigenvalue -1.
+            assert decisions[-1][1] is None
+            assert rep.certificate.min_eig == pytest.approx(-4e-11, rel=1e-3)
+
+
 class TestSharedDecompositions:
     """The solver takes its shift and its spectral start from one values-only
-    solve of C and one linear solve, without decomposing C. At a
-    first-order point a Cholesky factorization proves the verdict where it
-    can; otherwise the certificate S gets one values-only solve for its
-    verdict and escape test, and an eigenvector solve only to escape. Every
-    exit, the budget and the escape cap included, takes that verdict."""
+    solve of C and one linear solve, without decomposing C. At its exit a
+    diagonal entry of S refutes the verdict or a Cholesky factorization
+    proves it where it can; otherwise the certificate S gets one values-only
+    solve. Every exit, the budget included, takes that verdict."""
 
     def test_default_start_is_spectral_init(self, monkeypatch):
         inst = _instance(40, 1.0, 5)
         x0 = _spectral_start(inst.C)
-        # A tolerance this loose declares the start itself critical, and with
-        # escapes off the solver returns it untouched.
+        # A tolerance this loose declares the start itself critical, and the
+        # solver returns it untouched.
         monkeypatch.setattr(solver, "GRAD_TOL", 1e6)
-        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
         rep = solve_second_order(inst.C, None)
         assert rep.iterations == 0
         assert np.array_equal(rep.x.vec, x0.vec)
@@ -503,25 +426,10 @@ class TestSharedDecompositions:
         _assert_decided_like_certify(inst.C, rep, decisions)
         assert not rep.certificate.tight
 
-    def test_certificate_after_escape(self):
-        data, x = _saddle_pair()
-        rep = solve_second_order(data, x)
-        assert rep.escapes >= 1
-        _assert_proved_like_certify(data, rep)
-        assert rep.certificate.tight and rep.certificate.unique
-
-    def test_certificate_with_escape_cap_spent(self, monkeypatch, decisions):
-        data, x = _saddle_pair()
-        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
-        rep = solve_second_order(data, x)
-        assert len(decisions) == 1
-        _assert_decided_like_certify(data, rep, decisions)
-        assert not rep.certificate.tight
-
     def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch):
         # Every exit takes its verdict from the T and e it forms itself: a
-        # converged run, one that spends its budget and one at the escape
-        # cap never build S from C, nor call certify.
+        # converged run, one that spends its budget and one that stops at a
+        # saddle never build S from C, nor call certify.
         def refuse(*args, **kwargs):
             raise AssertionError("the solver built a certificate from C")
 
@@ -530,16 +438,15 @@ class TestSharedDecompositions:
         inst = _instance(50, 3.0, 9)
         assert solve_second_order(inst.C, None, signal=inst.z).converged
         assert not solve_second_order(inst.C, None, signal=inst.z, max_iters=1).converged
-        monkeypatch.setattr(solver, "MAX_ESCAPES", 0)
         data, x = _saddle_pair()
         rep = solve_second_order(data, x)
         assert rep.converged and rep.escapes == 0
 
     def test_refutation_changes_no_iterate(self, monkeypatch):
-        # A solve whose verdicts all come from eigvalsh(S) takes the same
-        # escapes to the same x with the same flags: from the saddle pair and
-        # from random first-order saddles, which a diagonal entry of S
-        # refutes, and at a budget exit; with escapes and at the escape cap.
+        # A solve whose verdict comes from eigvalsh(S) takes the same steps to
+        # the same x with the same flags: from the saddle pair and from
+        # random first-order saddles, which a diagonal entry of S refutes,
+        # and at a budget exit.
         refuted = []
         decide = certificate.decide
 
@@ -556,31 +463,16 @@ class TestSharedDecompositions:
         cases = [(*_saddle_pair(), {}), (*_shallow_diagonal_saddle(), {}),
                  (inst.C, None, {"signal": inst.z, "max_iters": 1}),
                  *((*_first_order_point(seed), {}) for seed in (723, 150, 1855))]
-        for max_escapes in (solver.MAX_ESCAPES, 0):
-            monkeypatch.setattr(solver, "MAX_ESCAPES", max_escapes)
-            for data, x0, kwargs in cases:
-                monkeypatch.setattr(solver, "decide", counting)
-                a = solve_second_order(data, x0, **kwargs)
-                monkeypatch.setattr(solver, "decide", eigenvalues_only)
-                b = solve_second_order(data, x0, **kwargs)
-                assert (a.escapes, a.iterations, a.converged) == (b.escapes, b.iterations,
-                                                                  b.converged)
-                assert np.array_equal(a.x.vec, b.x.vec)
-                assert (a.certificate.tight, a.certificate.unique) == (
-                    b.certificate.tight, b.certificate.unique)
+        for data, x0, kwargs in cases:
+            monkeypatch.setattr(solver, "decide", counting)
+            a = solve_second_order(data, x0, **kwargs)
+            monkeypatch.setattr(solver, "decide", eigenvalues_only)
+            b = solve_second_order(data, x0, **kwargs)
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert np.array_equal(a.x.vec, b.x.vec)
+            assert (a.certificate.tight, a.certificate.unique) == (
+                b.certificate.tight, b.certificate.unique)
         assert any(refuted)
-
-    def test_refuted_saddle_escapes_on_the_eigenvalues_of_s(self, decisions):
-        # At a converged point that may still escape, a refutation's upper
-        # bound on min_eig(S) does not decide the escape test: the solver
-        # leaves a saddle whose shallow diagonal refutes it.
-        data, x0 = _shallow_diagonal_saddle()
-        rep = solve_second_order(data, x0)
-        report, s = decisions[0]
-        assert s is None and not report.tight
-        assert report.min_eig >= -ESCAPE_TOL * data.n
-        assert rep.converged and rep.escapes >= 1
-        assert rep.certificate.min_eig >= -ESCAPE_TOL * data.n
 
     def test_rejects_one_by_one(self):
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
@@ -636,17 +528,18 @@ class TestGradientNorm:
 
 
 class TestReportInvariants:
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.2, 1.0, 2.0, 8.0]))
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.2, 1.0, 2.0, 8.0, 15.0]))
     @settings(max_examples=20)
     def test_converged_respects_tolerance(self, seed, sigma):
-        # sigma = 8 is far past tightness at n = 25, where the ascent can stop
-        # at a local optimum; it must still be second-order critical.
+        # sigma = 8 and 15 (the benchmark's largest) are far past tightness at
+        # n = 25, where the ascent can stop at a local optimum. With no
+        # escape step, every converged solve from the spectral start must
+        # still be second-order critical.
         inst = _instance(25, sigma, seed)
         rep = solve_second_order(inst.C, None, signal=inst.z)
         if rep.converged:
             assert rep.grad_norm <= 1e-10 * 25
-        if rep.converged and rep.escapes < 5:
             assert _tangent_hessian_min_eig(inst.C, rep.x) >= -1e-10 * 25
         assert rep.iterations <= 500
-        assert rep.escapes <= 5
+        assert rep.escapes == 0
         assert np.abs(np.abs(rep.x.vec) - 1.0).max() <= 1e-12
