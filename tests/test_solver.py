@@ -388,6 +388,19 @@ class TestFirstOrderExit:
             assert rep.certificate.min_eig == pytest.approx(-4e-11, rel=1e-3)
 
 
+class TestEscape:
+    """The solver has no escape step: its escape count is zero, as under an
+    escape cap of zero, and a saddle start is declared converged in place."""
+
+    def test_escape_cap_respected(self):
+        data, x = _saddle_pair()
+        rep = solve_second_order(data, x)
+        # With no escapes the saddle is declared converged at cost 0.
+        assert rep.converged
+        assert rep.escapes == 0
+        assert rep.cost == pytest.approx(0.0, abs=1e-12)
+
+
 class TestSharedDecompositions:
     """The solver takes its shift and its spectral start from one values-only
     solve of C and one linear solve, without decomposing C. At its exit a
@@ -424,6 +437,15 @@ class TestSharedDecompositions:
         assert not rep.converged
         assert len(decisions) == 1
         _assert_decided_like_certify(inst.C, rep, decisions)
+        assert not rep.certificate.tight
+
+    def test_certificate_with_escape_cap_spent(self, decisions):
+        # No escape is ever taken, so the saddle pair exits as a run whose
+        # escape budget is spent: one decision, certify's flags, not tight.
+        data, x = _saddle_pair()
+        rep = solve_second_order(data, x)
+        assert len(decisions) == 1
+        _assert_decided_like_certify(data, rep, decisions)
         assert not rep.certificate.tight
 
     def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch):
