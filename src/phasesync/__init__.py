@@ -2,7 +2,7 @@
 by Riemannian ascent, dual-certificate verification that the estimate solves
 the semidefinite relaxation, and Monte-Carlo phase-transition experiments."""
 
-from .certificate import CertificateReport, build_certificate, certify
+from .certificate import CertificateReport, certify
 from .hermitian import EigensolverError, HermitianMatrix, extreme_eigs
 from .metrics import (AlignmentError, BoundReport, align_global_phase, evaluate_bounds,
                       l2_error, linf_error, sufficient_noise_condition,
@@ -19,7 +19,7 @@ __all__ = [
     "AlignmentError", "BoundReport", "CertificateReport", "DiscordanceReport",
     "EigensolverError", "HermitianMatrix", "PhaseVector", "SignVector",
     "SolverReport", "SyncInstance", "TailStats", "align_global_phase",
-    "assemble_instance", "build_certificate", "certify", "evaluate_bounds",
+    "assemble_instance", "certify", "evaluate_bounds",
     "extreme_eigs", "is_discordant", "l2_error", "linf_error", "noise_tail_stats",
     "philox_stream", "random_signal", "random_signs",
     "sample_real_wigner", "sample_wigner", "solve_second_order",

@@ -8,13 +8,15 @@ diagonal PSD matrices, so the estimator is globally optimal (tight). If in
 addition the second smallest eigenvalue is strictly positive, ``S`` has rank
 ``n - 1`` and ``x x*`` is the unique solution.
 
-:func:`verdict` makes that test for any certificate from its eigenvalues,
-and :func:`certify`, the public entry point, runs it on a stored estimate.
-Every trial's verdict comes from :func:`decide` instead, from the cheapest
-certificate: a diagonal entry of ``S`` below the floor refutes tightness,
-one Cholesky factorization proves tightness and uniqueness, and only when
-neither holds does :func:`verdict` decide. The solver calls it at its own
-estimate, and ``z2.planted_verdict`` at the planted signs of the real case.
+Every verdict comes from :func:`decide`, from the cheapest certificate: a
+diagonal entry of ``S`` below the floor refutes tightness, one Cholesky
+factorization proves tightness and uniqueness, and only when neither holds
+do the eigenvalues of ``S`` decide, through :func:`verdict`.
+:func:`certify`, the public entry point, assembles what :func:`decide` asks
+for from ``C`` and ``x``. The solver calls it at the point it returns, so a
+stored estimate certifies to the bits of the report of the solve that found
+it; ``z2.planted_verdict`` assembles the real certificate at the planted
+signs from ``W`` instead.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ class CertificateReport:
     error: str | None = None
 
 
-def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMatrix:
-    """Assemble ``S = Re diag(C x xbar) - C`` without forming ``x x*``:
-    off the diagonal ``S = -C``, and ``S_ii = Re((C x)_i xbar_i) - C_ii``."""
-    if data.n != point.n:
-        raise ValueError("matrix and point sizes disagree")
-    x = point.vec
-    w = data.mat @ x
-    s = -data.mat
-    np.fill_diagonal(s, (w * x.conj()).real - np.diag(data.mat).real)
-    return HermitianMatrix(s)
-
-
 def verdict(s: HermitianMatrix, residual: float) -> CertificateReport:
     """Test tightness and uniqueness of a certificate ``s`` whose residual
     ``||S x||`` at its candidate ``x`` is ``residual``, against the fixed
@@ -96,10 +86,9 @@ def verdict(s: HermitianMatrix, residual: float) -> CertificateReport:
     )
 
 
-def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
-           ) -> tuple[CertificateReport, HermitianMatrix | None]:
+def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray) -> CertificateReport:
     """The verdict on the certificate ``S`` at the unit-modulus candidate
-    ``x``, and ``S`` itself if its eigenvalues decided.
+    ``x``.
 
     ``t`` is ``T = S + x x* - tau I`` (``tau = RANK_TOL * n``), writable, with
     a real diagonal, and ``e`` is ``S x``. The cheapest certificate decides.
@@ -118,9 +107,9 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
     residual gate) and ``r^2 = ||e - rho x||^2 / n``, bounds
     ``lambda_1(S) >= rho - r^2 / (tau - rho)``; if that clears
     ``PSD_TOL * n``, both flags hold, with the bound as ``min_eig`` and
-    ``tau`` as ``second_eig``. Otherwise :func:`verdict` decides on the
-    eigenvalues of :func:`certificate_matrix`, with the residual ``||e||``.
-    ``diag_min`` is ``d_i`` throughout.
+    ``tau`` as ``second_eig``. Otherwise ``S = T - x x* + tau I`` is formed
+    in the buffer of ``t``, and :func:`verdict` decides on its eigenvalues,
+    with the residual ``||e||``. ``diag_min`` is ``d_i`` throughout.
     """
     n = x.size
     tau = RANK_TOL * n
@@ -134,7 +123,7 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
         mid = (d[i] + d[j]) / 2.0
         rad = math.hypot((d[i] - d[j]) / 2.0, abs(t[i, j] - x[i] * np.conj(x[j])))
         return CertificateReport(residual, float(mid - rad), float(mid + rad), float(d[i]),
-                                 tight=False, unique=False), None
+                                 tight=False, unique=False)
     if np.min(diag) > 0.0 and residual <= RESIDUAL_TOL * n:
         np.fill_diagonal(t, diag - cholesky_charge(n, float(np.sum(diag))))
         try:
@@ -146,21 +135,28 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray
             min_eig = rho - float(np.sum(np.abs(e - rho * x) ** 2)) / n / (tau - rho)
             if min_eig >= floor:
                 return CertificateReport(residual, min_eig, tau, float(d[i]),
-                                         tight=True, unique=True), None
-        np.fill_diagonal(t, diag)
-    s = certificate_matrix(x, t)
-    return verdict(s, residual), s
-
-
-def certificate_matrix(x: np.ndarray, t: np.ndarray) -> HermitianMatrix:
-    """``S = T - x x* + tau I`` for the ``T`` of :func:`decide`, in its buffer."""
-    d = np.diagonal(t).real - (x * x.conj()).real + RANK_TOL * x.size
+                                         tight=True, unique=True)
+    # The diagonal of S is d, whatever the proof attempt left on that of T.
     t -= np.outer(x, x.conj())
     np.fill_diagonal(t, d)
-    return HermitianMatrix(t)
+    return verdict(HermitianMatrix(t), residual)
 
 
 def certify(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:
-    """Build the certificate at ``point`` and test tightness and uniqueness."""
-    s = build_certificate(data, point)
-    return verdict(s, float(np.linalg.norm(s.mat @ point.vec)))
+    """The verdict of :func:`decide` on the certificate of ``C = data`` at
+    ``x = point``. With ``w = C x`` and ``a = Re(w o xbar)``, it is given
+    ``T = x x* - C`` with the diagonal ``a - Re diag(C) + |x|^2 - tau`` and
+    the half gradient ``e = S x = a o x - w``. The solver calls this at the
+    point it returns, so a stored estimate gets its solve's report bit for
+    bit."""
+    if data.n != point.n:
+        raise ValueError("matrix and point sizes disagree")
+    n, c, x = data.n, data.mat, point.vec
+    w = c @ x
+    xc = x.conj()
+    a = (w * xc).real
+    t = np.outer(x, xc)
+    t -= c
+    np.fill_diagonal(t, a - np.diagonal(c).real + (x.real * x.real + x.imag * x.imag)
+                     - RANK_TOL * n)
+    return decide(x, t, a * x - w)

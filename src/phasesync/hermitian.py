@@ -129,16 +129,20 @@ def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
     is no residual, so the whole spectrum is gated instead: its sum and its
     2-norm must reproduce ``tr H`` and ``||H||_F`` within the residual gate's
     ``EIG_RESIDUAL_TOL * n * max(1, ||H||_F)`` (a NaN fails both). Raises
-    ValueError for ``k`` outside ``0..n``, and EigensolverError if LAPACK
-    fails to converge or the spectrum misses the gate."""
+    ValueError for ``k`` outside ``0..n``, and EigensolverError if
+    ``||H||_F`` overflows (before any solve: no spectrum could meet that
+    gate), if LAPACK fails to converge or if the spectrum misses the gate."""
     n = h.n
     if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenvalues from a {n} x {n} matrix")
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(h.mat))
+    if not math.isfinite(fro):
+        raise EigensolverError(f"||H||_F overflows to {fro}")
     try:
         vals = np.linalg.eigvalsh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigenvalue solve failed: {exc}") from exc
-    fro = float(np.linalg.norm(h.mat))
     allowed = EIG_RESIDUAL_TOL * n * max(1.0, fro)
     trace_err = abs(float(vals.sum()) - float(np.trace(h.mat).real))
     fro_err = abs(float(np.linalg.norm(vals)) - fro)

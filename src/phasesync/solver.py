@@ -20,9 +20,9 @@ for that ``x``. The pieces:
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
   always report a cost at least that of the plant;
-* at the returned point ``certificate.decide`` gives the verdict, from the
-  half gradient ``e = S x``, formed at the exit: refuted by a diagonal entry
-  of ``S``, with upper bounds on its eigenvalues; proved tight and unique by
+* at the returned point ``certificate.certify`` gives the verdict, the
+  same call that certifies a stored estimate: refuted by a diagonal entry of
+  ``S``, with upper bounds on its eigenvalues; proved tight and unique by
   one Cholesky factorization; or else decided on the eigenvalues of ``S``.
 
 No step leaves a saddle along negative curvature. From the spectral start
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RANK_TOL, CertificateReport, decide
+from .certificate import CertificateReport, certify
 from .hermitian import EIG_RESIDUAL_TOL, HermitianMatrix, extreme_eigs, smallest_eigvals
 from .model import PhaseVector
 
@@ -77,8 +77,8 @@ class SolverReport:
     supplied; otherwise they are the planted cost ``z* C z`` and whether
     ``cost >= planted_cost - BEAT_COST_SLACK n^2``. ``converged`` implies
     ``grad_norm <= GRAD_TOL * n``; ``grad_norm``, read off the last power
-    step, is ``2 ||S x||`` up to rounding. ``certificate`` is the verdict of
-    ``certificate.decide`` on ``x``: its ``residual`` is ``||S x||``, and
+    step, is ``2 ||S x||`` up to rounding. ``certificate`` is
+    ``certificate.certify(data, x)``: its ``residual`` is ``||S x||``, and
     ``min_eig`` and ``second_eig`` are eigenvalues of ``S``, or bounds on them
     where a factorization proved the verdict or a diagonal entry refuted it.
     """
@@ -165,8 +165,8 @@ def solve_second_order(
         cost_z = float(np.vdot(signal.vec, cmat @ signal.vec).real)
 
     def work(v):
-        # A copy of the iterate, C + lam I (the exit builds T in it) and the
-        # arrays a power step fills in place: y, xbar, y o xbar and r = |y|.
+        # A copy of the iterate, C + lam I and the arrays a power step fills
+        # in place: y, xbar, y o xbar and r = |y|.
         # Set up once per starting point (the start and the plant).
         v = np.array(v, dtype=np.result_type(cmat, v))
         c = cmat.astype(v.dtype)
@@ -202,15 +202,11 @@ def solve_second_order(
             continue
         break
 
-    # Every exit decides the verdict on its x, from e = S x and T = x x* - C
-    # with diagonal a - Re diag(C) + |x|^2 - tau, built in the buffer of
-    # C + lam I.
-    a = (w * xc).real
-    t = np.outer(x, xc, out=cshift)
-    t -= cmat
-    np.fill_diagonal(t, a - np.diagonal(cmat).real + (x.real * x.real + x.imag * x.imag)
-                     - RANK_TOL * n)
-    cert = decide(x, t, a * x - w)[0]
+    # Every exit takes certify's verdict on its x. The power loop's arrays go
+    # first, so C + lam I is freed before certify forms its own n x n T.
+    del cshift, y, xc, yx, r, b, w
+    point = PhaseVector(x)
+    cert = certify(data, point)
 
     beat = None
     if signal is not None:
@@ -219,7 +215,7 @@ def solve_second_order(
         logger.warning("no convergence in %d power steps (grad norm %.3e, tol %.3e)",
                        iterations, gn, tol)
     return SolverReport(
-        x=PhaseVector(x), cost=cost, grad_norm=gn,
+        x=point, cost=cost, grad_norm=gn,
         iterations=iterations, escapes=0,
         planted_cost=cost_z, beat_planted=beat, converged=converged, certificate=cert,
     )

@@ -90,4 +90,4 @@ def planted_verdict(signal: SignVector, noise: HermitianMatrix, sigma: float) ->
     assert residual <= 1e-10 * n, (
         f"certificate does not annihilate the signal: residual {residual:.3e}"
     )
-    return decide(z, t, e)[0]
+    return decide(z, t, e)

@@ -55,18 +55,27 @@ def openblas_threads():
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Every ``(report, S)`` pair ``certificate.decide`` returns to the solver
-    and to ``z2.planted_verdict`` during the test, in call order. ``S`` is
-    None where a factorization proved the verdict or a diagonal entry of
-    ``S`` refuted it."""
-    from phasesync import certificate, solver, z2
+    """Every report of ``certificate.decide`` during the test, in call order:
+    the solver's through ``certificate.certify`` and ``z2.planted_verdict``'s.
+    Each comes as ``(report, S)``, with ``S`` the certificate whose
+    eigenvalues decided, as handed to ``certificate.verdict``; ``S`` is None
+    where a factorization proved the verdict or a diagonal entry of ``S``
+    refuted it."""
+    from phasesync import certificate, z2
 
-    seen = []
+    seen, solved = [], []
+
+    def eigenvalues(s, residual, _verdict=certificate.verdict):
+        solved.append(s)
+        return _verdict(s, residual)
 
     def recording(x, t, e, _decide=certificate.decide):
-        seen.append(_decide(x, t, e))
-        return seen[-1]
+        solved.clear()
+        report = _decide(x, t, e)
+        seen.append((report, solved[-1] if solved else None))
+        return report
 
-    for module in (solver, z2):
+    monkeypatch.setattr(certificate, "verdict", eigenvalues)
+    for module in (certificate, z2):
         monkeypatch.setattr(module, "decide", recording)
     return seen

@@ -14,8 +14,11 @@ the solver evaluates. Tangent vectors are plain ambient arrays; :func:`retract`
 moves along them, and :func:`tangent_hessian` is the Hessian in the real
 coordinates of a tangent vector, read off the certificate.
 :func:`real_certificate` is the closed form of the real certificate at the
-planted signs, built entry by entry rather than from the matrix the
-package's verdict starts from.
+planted signs, and :func:`build_certificate` the complex one at any point,
+each built entry by entry rather than from the matrix the package's verdict
+starts from. :func:`certify_by_eigvalsh` is the verdict that reads the
+eigenvalues of that complex certificate on every row, where the package's
+proofs and refutations report bounds on them.
 """
 
 from __future__ import annotations
@@ -227,7 +230,27 @@ def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -
     return out
 
 
+def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMatrix:
+    """Assemble ``S = Re diag(C x xbar) - C`` without forming ``x x*``:
+    off the diagonal ``S = -C``, and ``S_ii = Re((C x)_i xbar_i) - C_ii``."""
+    if data.n != point.n:
+        raise ValueError("matrix and point sizes disagree")
+    x = point.vec
+    w = data.mat @ x
+    s = -data.mat
+    np.fill_diagonal(s, (w * x.conj()).real - np.diag(data.mat).real)
+    return HermitianMatrix(s)
+
+
 def verdict_at(s: HermitianMatrix, x) -> CertificateReport:
-    """``certificate.verdict`` on ``s`` with the residual ``||S x||``, the
-    way ``certificate.certify`` calls it."""
+    """``certificate.verdict`` on ``s`` with the residual ``||S x||``: the
+    eigenvalue verdict, which reads the two smallest eigenvalues of ``s``
+    whatever its diagonal."""
     return verdict(s, float(np.linalg.norm(s.mat @ np.asarray(x))))
+
+
+def certify_by_eigvalsh(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:
+    """The eigenvalue verdict on the certificate of ``data`` at ``point``,
+    built by :func:`build_certificate`: the flags of ``certificate.certify``,
+    with the eigenvalues of ``S`` where ``certify`` may report bounds."""
+    return verdict_at(build_certificate(data, point), point.vec)

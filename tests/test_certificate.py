@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesync.certificate import (PSD_TOL, RANK_TOL, RESIDUAL_TOL, build_certificate,
-                                   certificate_matrix, certify, decide, verdict)
+from phasesync import certificate
+from phasesync.certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, certify, verdict
 from phasesync.hermitian import cholesky_charge
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import jacobi_eigvalsh, quad_form, real_certificate, riemannian_grad, verdict_at
+from reference import (build_certificate, certify_by_eigvalsh, jacobi_eigvalsh, quad_form,
+                       real_certificate, riemannian_grad, verdict_at)
 
 
 def _instance(n, sigma, seed):
@@ -78,14 +79,20 @@ class TestBuildCertificate:
 
 class TestCertifyNoiseless:
     def test_planted_point_certifies_rank_n_minus_1(self):
+        # certify proves the verdict and reports lower bounds; the exact
+        # eigenvalues come from the eigenvalue verdict on the same S.
         inst = _instance(30, 0.0, 11)
         report = certify(inst.C, inst.z)
         assert report.tight
         assert report.unique
         assert report.residual <= 1e-9 * 30
-        assert abs(report.min_eig) <= 1e-12 * 30
-        assert report.second_eig == pytest.approx(30.0, rel=1e-9)
         assert report.error is None
+        ref = certify_by_eigvalsh(inst.C, inst.z)
+        assert ref.tight and ref.unique
+        assert abs(ref.min_eig) <= 1e-12 * 30
+        assert ref.second_eig == pytest.approx(30.0, rel=1e-9)
+        assert report.min_eig <= ref.min_eig + 1e-12 * 30
+        assert report.second_eig <= ref.second_eig
 
     def test_spectrum_matches_jacobi_oracle(self):
         inst = _instance(8, 0.0, 13)
@@ -95,7 +102,7 @@ class TestCertifyNoiseless:
         # one zero and n - 1 copies of n, up to rounding.
         assert abs(ref[0]) <= 1e-12 * 8
         assert np.abs(ref[1:] - 8.0).max() <= 1e-10
-        report = certify(inst.C, inst.z)
+        report = certify_by_eigvalsh(inst.C, inst.z)
         assert report.min_eig == pytest.approx(ref[0], abs=1e-10)
         assert report.second_eig == pytest.approx(ref[1], abs=1e-10)
 
@@ -172,6 +179,13 @@ class TestValuesOnlyVerdict:
             assert {(cplx, False, False), (cplx, True, True)} <= seen
 
 
+def _decided(decisions, x, t, e):
+    # decide's report, with the S its eigenvalues were read from (None where
+    # a factorization proved it or a diagonal entry refuted it).
+    certificate.decide(x, t, e)
+    return decisions[-1]
+
+
 class TestDecide:
     """The one trial verdict on certificates with a known spectrum."""
 
@@ -189,35 +203,36 @@ class TestDecide:
         return q @ np.diag([0.0, *mu]) @ q.T, x
 
     @staticmethod
-    def _decide(s_mat, x):
+    def _decide(decisions, s_mat, x):
         n = x.size
-        return decide(x, s_mat + np.outer(x, x) - RANK_TOL * n * np.eye(n), s_mat @ x)
+        return _decided(decisions, x, s_mat + np.outer(x, x) - RANK_TOL * n * np.eye(n),
+                        s_mat @ x)
 
-    def test_bound_holds_where_its_correction_decides(self):
+    def test_bound_holds_where_its_correction_decides(self, decisions):
         # With lambda_2 just above tau, the Kato-Temple correction
         # r^2 / (tau - rho) outweighs rho: the bound is negative, under the
         # true lambda_1 = 0, and still clears PSD_TOL * n.
         n = 4
         s_mat, x = self._tilted(1e-3, (5e-8, 6e-8, 7e-8))
-        report, s = self._decide(s_mat, x)
+        report, s = self._decide(decisions, s_mat, x)
         assert s is None and report.tight and report.unique
         rho = float(x @ s_mat @ x) / n
         assert PSD_TOL * n <= report.min_eig < 0.0 < rho
         assert report.second_eig == RANK_TOL * n < 5e-8
         assert report.residual == pytest.approx(np.linalg.norm(s_mat @ x), rel=1e-12)
 
-    def test_failed_proofs_fall_back_to_the_eigenvalues_of_s(self):
+    def test_failed_proofs_fall_back_to_the_eigenvalues_of_s(self, decisions):
         # The bound misses its gate; lambda_2 is below tau, so T does not
         # factorize. Either way S = T - x x* + tau I is formed, S to rounding,
         # and the verdict is the eigenvalue verdict on it with ||S x||.
         for theta, mu in ((1e-2, (5e-8, 6e-8, 7e-8)), (1e-4, (3e-8, 6e-8, 7e-8))):
             s_mat, x = self._tilted(theta, mu)
-            report, s = self._decide(s_mat, x)
+            report, s = self._decide(decisions, s_mat, x)
             assert s is not None
             assert np.abs(s.mat - s_mat).max() <= 1e-15
             assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
 
-    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch):
+    def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch, decisions):
         # S = T - x x* + tau I has the diagonal entry -1 + tau: the verdict is
         # refuted with no factorization and no eigensolve, T is left as it
         # was, and the report carries the eigenvalues of S's principal
@@ -232,18 +247,17 @@ class TestDecide:
         tau = RANK_TOL * 4
         s_mat = t - np.outer(x, x) + tau * np.eye(4)
         work = t.copy()
-        report, s = decide(x, work, s_mat @ x)
+        report, s = _decided(decisions, x, work, s_mat @ x)
         assert s is None and not report.tight and not report.unique
         assert np.array_equal(work, t)
         assert report.diag_min == -1.0 + tau
         assert report.min_eig == pytest.approx(tau - 0.5 - math.sqrt(1.25), abs=1e-15)
         assert report.second_eig == pytest.approx(tau - 0.5 + math.sqrt(1.25), abs=1e-15)
         monkeypatch.undo()
-        assert np.array_equal(certificate_matrix(x, work).mat, s_mat)
         lam = np.linalg.eigvalsh(s_mat)
         assert report.min_eig >= lam[0] and report.second_eig >= lam[1]
 
-    def test_factorization_is_charged_its_rounding(self):
+    def test_factorization_is_charged_its_rounding(self, decisions):
         # T = delta I + beta 1 1^T with delta below the rounding charge c is
         # stored exactly, with smallest eigenvalue delta: a plain
         # factorization of T succeeds, yet it proves nothing, so the verdict
@@ -263,7 +277,7 @@ class TestDecide:
             assert np.diag(t)[0] - beta == delta
             np.linalg.cholesky(t)
             s_mat = t - np.outer(x, x) + tau * np.eye(n)
-            report, s = decide(x, t, s_mat @ x)
+            report, s = _decided(decisions, x, t, s_mat @ x)
             assert (s is None) == proved
             if proved:
                 assert report.tight and report.unique and report.second_eig == tau
@@ -271,7 +285,7 @@ class TestDecide:
                 assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
 
     @pytest.mark.parametrize("n", [2, 5, 30])
-    def test_refuted_eigenvalues_bound_those_of_s_from_above(self, n):
+    def test_refuted_eigenvalues_bound_those_of_s_from_above(self, decisions, n):
         # Random S = P A P with P = I - x x* / n, so S x = 0, shifted down on
         # one diagonal entry: refuted, and by Cauchy interlacing min_eig and
         # second_eig are at least the two smallest eigenvalues of S.
@@ -283,7 +297,7 @@ class TestDecide:
             s_mat = p @ (a + a.conj().T) @ p
             s_mat[0, 0] -= 2.0 * n
             t = s_mat + np.outer(x, x.conj()) - RANK_TOL * n * np.eye(n)
-            report, s = decide(x, t, s_mat @ x)
+            report, s = _decided(decisions, x, t, s_mat @ x)
             lam = np.linalg.eigvalsh(s_mat)
             assert s is None and not report.tight and not report.unique
             assert report.diag_min == pytest.approx(np.min(np.diag(s_mat).real), abs=1e-12)

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +60,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("sigma", ["1e160", "1e200"])
     def test_eigensolver_failure_exit_code(self, capsys, sigma):
-        # ||C||_F overflows, so the values-only solve of C misses its gate:
-        # the failure is reported, not raised, and no row is written.
+        # ||C||_F overflows, so the values-only solve of C is refused before
+        # it runs: the failure is reported, not raised, and no row is written.
         with np.errstate(over="ignore"):
             code, out, err = run_cli(capsys, "solve", "--n", "20", "--sigma", sigma,
                                      "--seed", "1")
         assert code == 3
         assert out == ""
         assert err.startswith("eigensolver failure: ")
+
+    def test_overflowing_norm_raises_no_warning(self, capsys):
+        # The same failure with every warning an error: the overflow of
+        # ||C||_F is read without a numpy warning, and stderr holds one line.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "solve", "--n", "20", "--sigma", "1e160",
+                                     "--seed", "1")
+        assert code == 3
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("eigensolver failure: ")
 
     def test_dump_files(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.txt"
@@ -146,6 +159,29 @@ print(json.dumps([codes, loaded]))
         assert codes == [0, 0]
         assert loaded == []
 
+    @pytest.mark.parametrize("argv", [("--n", "20", "--sigma", "0.3", "--seed", "11"),
+                                      ("--n", "60", "--sigma", "8", "--seed", "2"),
+                                      ("--n", "60", "--sigma", "8", "--seed", "2",
+                                       "--max-iters", "4"),
+                                      ("--n", "40", "--sigma", "10", "--seed", "0",
+                                       "--max-iters", "1")])
+    def test_certify_row_matches_the_solve_row(self, capsys, tmp_path, argv):
+        # certify on a solve's dumps prints the numbers and flags of that
+        # solve's row, string for string: a row proved by a factorization,
+        # rows decided by eigenvalues (past the budget or not) and a budget
+        # exit refuted by a diagonal entry of S.
+        inst_path = tmp_path / "inst.txt"
+        x_path = tmp_path / "x.txt"
+        _, out, _ = run_cli(capsys, "solve", *argv, "--dump-instance", str(inst_path),
+                            "--dump-x", str(x_path))
+        solved = parse_table(out)[0]
+        code, out, _ = run_cli(capsys, "certify", "--instance", str(inst_path),
+                               "--x", str(x_path))
+        assert code == 0
+        certified = parse_table(out)[0]
+        assert [certified[c] for c in ("residual", "min_eig", "second_eig", "tight", "unique")] == [
+            solved[c] for c in ("residual", "min_eig_S", "second_eig_S", "tight", "unique")]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "certify", "--instance", str(tmp_path / "no.txt"),
                                "--x", str(tmp_path / "no2.txt"))
@@ -212,10 +248,13 @@ print(json.dumps([codes, loaded]))
         def fail(*args, **kwargs):
             raise EigensolverError("no convergence")
 
+        # The planted z of a noisy instance misses the residual gate, so no
+        # factorization proves its verdict and the eigenvalues of S decide.
         inst_path = tmp_path / "inst.txt"
         x_path = tmp_path / "x.txt"
         run_cli(capsys, "solve", "--n", "8", "--sigma", "0.3", "--seed", "6",
                 "--dump-instance", str(inst_path), "--dump-x", str(x_path))
+        write_phase_vector(read_instance(inst_path).z, x_path)
         monkeypatch.setattr(certificate, "smallest_eigvals", fail)
         code, out, err = run_cli(capsys, "certify", "--instance", str(inst_path),
                                  "--x", str(x_path))

@@ -16,13 +16,14 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync import certificate, experiment, hermitian, model
-from phasesync.certificate import RANK_TOL, build_certificate, certify, verdict
+from phasesync.certificate import RANK_TOL, verdict
 from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
                              trial_seed)
 from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import quad_form, real_certificate, verdict_at
+from reference import (build_certificate, certify_by_eigvalsh, quad_form, real_certificate,
+                       verdict_at)
 
 
 def _write_config(tmp_path, text):
@@ -381,7 +382,7 @@ class TestPlantedProof:
     @staticmethod
     def _assert_fallback(report, s, ref, ref_s):
         # A verdict no proof decided is the eigenvalue verdict on the S that
-        # decide returned, field for field, with the reference's flags; that
+        # decide formed, field for field, with the reference's flags; that
         # S is the reference certificate to rounding.
         assert report == verdict(s, report.residual)
         assert (report.tight, report.unique) == (ref.tight, ref.unique)
@@ -426,8 +427,8 @@ class TestPlantedProof:
 
     def test_complex_proof_matches_eigenvalue_verdict_across_the_edge(self, decisions):
         # sigma on both sides of the conjectured edge sqrt(n) / 3. A proved
-        # verdict bounds certify's eigenvalues at the solver's estimate; any
-        # other verdict is the eigenvalue verdict on the S decide returned.
+        # verdict bounds the eigenvalues of S at the solver's estimate; any
+        # other verdict is the eigenvalue verdict on the S decide formed.
         unique, proved = set(), set()
         for n in (20, 60, 200):
             for factor in (0.5, 0.9, 1.1, 2.0):
@@ -437,7 +438,7 @@ class TestPlantedProof:
                     report, s = decisions[-1]
                     assert rep.certificate is report
                     ref_s = build_certificate(inst.C, rep.x)
-                    ref = certify(inst.C, rep.x)
+                    ref = certify_by_eigvalsh(inst.C, rep.x)
                     assert (rec.tight, rec.unique) == (ref.tight, ref.unique)
                     unique.add(rec.unique)
                     proved.add(s is None)

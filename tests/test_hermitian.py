@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -274,6 +276,20 @@ class TestSmallestEigvals:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(EigensolverError, match="did not converge"):
             smallest_eigvals(_random_hermitian(6, 3), 2)
+
+    @pytest.mark.parametrize("make", [_random_symmetric, _random_hermitian])
+    def test_overflowing_norm_is_refused_before_the_solve(self, monkeypatch, make):
+        # Finite entries near 1e160 whose squares overflow: ||H||_F is read
+        # without a numpy warning, and no eigvalsh runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a matrix with an infinite norm")
+
+        h = HermitianMatrix(1e160 * make(20, 4).mat)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolverError, match="overflows"):
+                smallest_eigvals(h, 2)
 
 
 class TestOperatorNorm:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync import certificate, solver
-from phasesync.certificate import build_certificate, certify, verdict
+from phasesync.certificate import certify, verdict
 from phasesync.hermitian import HermitianMatrix, smallest_eigvals
 from phasesync.metrics import align_global_phase
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import _round_phases, _spectrum, _top_vector, solve_second_order
 
-from reference import hessian_vec, power_iterates, quad_form
+from reference import (build_certificate, certify_by_eigvalsh, hessian_vec, power_iterates,
+                       quad_form)
 
 
 def _instance(n, sigma, seed):
@@ -320,14 +321,14 @@ class TestRestartFromPlanted:
 
 
 def _assert_decided_like_certify(data, rep, decisions):
-    # The run's last decision is its verdict, with certify's flags. Where a
-    # diagonal entry of S refuted it, its eigenvalues bound certify's from
-    # above within their rounding. Otherwise no proof held, and it is the
-    # eigenvalue verdict on the S it returned, field for field; that S is
-    # the certificate at x to rounding.
+    # The run's last decision is its verdict, with the flags of the
+    # eigenvalue verdict. Where a diagonal entry of S refuted it, its
+    # eigenvalues bound those of S from above within their rounding.
+    # Otherwise no proof held, and it is the eigenvalue verdict on the S it
+    # formed, field for field; that S is the certificate at x to rounding.
     report, s = decisions[-1]
     assert rep.certificate is report
-    ref = certify(data, rep.x)
+    ref = certify_by_eigvalsh(data, rep.x)
     assert (report.tight, report.unique) == (ref.tight, ref.unique)
     b = build_certificate(data, rep.x).mat
     if s is None:
@@ -341,9 +342,10 @@ def _assert_decided_like_certify(data, rep, decisions):
 
 
 def _assert_proved_like_certify(data, rep):
-    # A verdict proved by factorization has certify's flags, and its min_eig
-    # and second_eig bound certify's eigenvalues within their rounding.
-    ref = certify(data, rep.x)
+    # A verdict proved by factorization has the flags of the eigenvalue
+    # verdict, and its min_eig and second_eig bound the eigenvalues of S
+    # within their rounding.
+    ref = certify_by_eigvalsh(data, rep.x)
     cert = rep.certificate
     assert (cert.tight, cert.unique) == (ref.tight, ref.unique)
     slack = data.n * np.finfo(float).eps * np.linalg.norm(build_certificate(data, rep.x).mat)
@@ -448,58 +450,112 @@ class TestSharedDecompositions:
         _assert_decided_like_certify(data, rep, decisions)
         assert not rep.certificate.tight
 
-    def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch):
-        # Every exit takes its verdict from the T and e it forms itself: a
+    def test_no_exit_builds_a_certificate_of_its_own(self, monkeypatch, decisions):
+        # Every exit takes its verdict from one certify call on the data and
+        # the point it returns, and from the one decision that call makes: a
         # converged run, one that spends its budget and one that stops at a
-        # saddle never build S from C, nor call certify.
-        def refuse(*args, **kwargs):
-            raise AssertionError("the solver built a certificate from C")
+        # saddle.
+        calls = []
 
-        monkeypatch.setattr(certificate, "certify", refuse)
-        monkeypatch.setattr(certificate, "build_certificate", refuse)
+        def watched(data, point):
+            calls.append((data, point))
+            return certify(data, point)
+
+        monkeypatch.setattr(solver, "certify", watched)
         inst = _instance(50, 3.0, 9)
-        assert solve_second_order(inst.C, None, signal=inst.z).converged
-        assert not solve_second_order(inst.C, None, signal=inst.z, max_iters=1).converged
-        data, x = _saddle_pair()
-        rep = solve_second_order(data, x)
-        assert rep.converged and rep.escapes == 0
+        saddle = _saddle_pair()
+        for (data, x0), kwargs, converged in (
+                ((inst.C, None), {"signal": inst.z}, True),
+                ((inst.C, None), {"signal": inst.z, "max_iters": 1}, False),
+                (saddle, {}, True)):
+            calls.clear()
+            decisions.clear()
+            rep = solve_second_order(data, x0, **kwargs)
+            assert rep.converged == converged and rep.escapes == 0
+            [(seen, point)] = calls
+            assert seen is data and point is rep.x
+            [(report, _)] = decisions
+            assert rep.certificate is report
 
-    def test_refutation_changes_no_iterate(self, monkeypatch):
+    def test_refutation_changes_no_iterate(self, monkeypatch, decisions):
         # A solve whose verdict comes from eigvalsh(S) takes the same steps to
         # the same x with the same flags: from the saddle pair and from
         # random first-order saddles, which a diagonal entry of S refutes,
         # and at a budget exit.
-        refuted = []
-        decide = certificate.decide
-
-        def counting(x, t, e):
-            report, s = decide(x, t, e)
-            refuted.append(s is None and not report.tight)
-            return report, s
+        recording = certificate.decide
 
         def eigenvalues_only(x, t, e):
-            s = certificate.certificate_matrix(x, t)
-            return verdict(s, float(np.linalg.norm(e))), s
+            # S = T - x x* + tau I, whatever its diagonal.
+            d = np.diagonal(t).real - (x * x.conj()).real + certificate.RANK_TOL * x.size
+            t -= np.outer(x, x.conj())
+            np.fill_diagonal(t, d)
+            return verdict(HermitianMatrix(t), float(np.linalg.norm(e)))
 
         inst = _instance(50, 3.0, 9)
         cases = [(*_saddle_pair(), {}), (*_shallow_diagonal_saddle(), {}),
                  (inst.C, None, {"signal": inst.z, "max_iters": 1}),
                  *((*_first_order_point(seed), {}) for seed in (723, 150, 1855))]
         for data, x0, kwargs in cases:
-            monkeypatch.setattr(solver, "decide", counting)
+            monkeypatch.setattr(certificate, "decide", recording)
             a = solve_second_order(data, x0, **kwargs)
-            monkeypatch.setattr(solver, "decide", eigenvalues_only)
+            monkeypatch.setattr(certificate, "decide", eigenvalues_only)
             b = solve_second_order(data, x0, **kwargs)
             assert (a.iterations, a.converged) == (b.iterations, b.converged)
             assert np.array_equal(a.x.vec, b.x.vec)
             assert (a.certificate.tight, a.certificate.unique) == (
                 b.certificate.tight, b.certificate.unique)
-        assert any(refuted)
+        assert any(s is None and not report.tight for report, s in decisions)
 
     def test_rejects_one_by_one(self):
         data = HermitianMatrix(np.array([[1.0 + 0j]]))
         with pytest.raises(ValueError):
             solve_second_order(data, PhaseVector(np.array([1.0 + 0j])))
+
+
+class TestCertifyMatchesTheSolve:
+    """``certify`` on the point a solve returns gives that solve's report, by
+    dataclass equality, at every kind of exit and for every way a verdict is
+    decided: a stored estimate certifies to the bits of its trial row."""
+
+    @staticmethod
+    def _assert_certify_matches(data, rep):
+        assert certify(data, rep.x) == rep.certificate
+
+    def test_proved_row(self, decisions):
+        inst = _instance(60, 0.5, 3)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
+        assert rep.converged and rep.certificate.unique
+        assert decisions[-1][1] is None
+        self._assert_certify_matches(inst.C, rep)
+
+    def test_eigvalsh_row(self, decisions):
+        inst = _instance(200, 15.0, 0)
+        rep = solve_second_order(inst.C, None, signal=inst.z)
+        assert decisions[-1][1] is not None and not rep.certificate.tight
+        self._assert_certify_matches(inst.C, rep)
+
+    def test_budget_exit(self):
+        inst = _instance(200, 15.0, 0)
+        rep = solve_second_order(inst.C, None, signal=inst.z, max_iters=30)
+        assert not rep.converged and rep.iterations == 30
+        self._assert_certify_matches(inst.C, rep)
+
+    def test_exit_after_the_planted_restart(self):
+        # The start is first-order critical with cost 0 and the plant costs
+        # more, so every power step comes after the restart.
+        data, x0 = _first_order_point(7)
+        rng = np.random.default_rng(107)
+        z = PhaseVector(np.exp(2j * np.pi * rng.random(data.n)))
+        rep = solve_second_order(data, x0, signal=z)
+        assert rep.converged and rep.iterations > 0 and rep.beat_planted
+        self._assert_certify_matches(data, rep)
+
+    def test_diagonal_refuted_saddle(self, decisions):
+        data, x0 = _SADDLES["shallow_diagonal"]
+        rep = solve_second_order(data, x0)
+        assert rep.converged and not rep.certificate.tight
+        assert decisions[-1][1] is None
+        self._assert_certify_matches(data, rep)
 
 
 class TestGradientNorm:
@@ -522,7 +578,8 @@ class TestGradientNorm:
         w = c @ x
         gradient = 2.0 * (w * x.conj()).real * x - 2.0 * w
         assert abs(rep.grad_norm - np.linalg.norm(gradient)) <= bound
-        assert abs(rep.certificate.residual - certify(data, rep.x).residual) <= bound
+        residual = np.linalg.norm(build_certificate(data, rep.x).mat @ x)
+        assert abs(rep.certificate.residual - residual) <= bound
 
     def test_converged_exit(self):
         inst = _instance(60, 0.5, 3)
