@@ -11,7 +11,7 @@ addition the second smallest eigenvalue is strictly positive, ``S`` has rank
 Every verdict comes from :func:`decide`, from the cheapest certificate: a
 diagonal entry of ``S`` below the floor refutes tightness, one Cholesky
 factorization proves tightness and uniqueness, and only when neither holds
-do the eigenvalues of ``S`` decide, through :func:`verdict`.
+do the two smallest eigenvalues of ``S`` decide, from one values-only solve.
 :func:`certify`, the public entry point, assembles what :func:`decide` asks
 for from ``C`` and ``x``. The solver calls it at the point it returns, so a
 stored estimate certifies to the bits of the report of the solve that found
@@ -47,8 +47,8 @@ class CertificateReport:
     diagonal entry of ``S``, a cheap necessary sanity value: at any
     second-order critical point it should not be substantially negative.
     ``error`` carries an eigensolver failure note; both flags are false then.
-    Of :func:`decide`'s reports only those :func:`verdict` decided carry
-    eigenvalues. A proved one carries lower bounds: ``min_eig`` under the
+    Only a report that :func:`decide` took from the spectrum of ``S`` carries
+    its eigenvalues. A proved one carries lower bounds: ``min_eig`` under the
     smallest and ``RANK_TOL * n`` under the second. A refuted one carries
     upper bounds on both, the eigenvalues of a 2 x 2 submatrix of ``S``.
     """
@@ -60,30 +60,6 @@ class CertificateReport:
     tight: bool
     unique: bool
     error: str | None = None
-
-
-def verdict(s: HermitianMatrix, residual: float) -> CertificateReport:
-    """Test tightness and uniqueness of a certificate ``s`` whose residual
-    ``||S x||`` at its candidate ``x`` is ``residual``, against the fixed
-    gates ``RESIDUAL_TOL``, ``PSD_TOL`` and ``RANK_TOL`` (see
-    :class:`CertificateReport`). They read eigenvalues only, from one
-    values-only solve (:func:`smallest_eigvals`). Eigensolver failure is
-    reported in-band via ``error`` with both flags false."""
-    n = s.n
-    diag_min = float(np.min(np.diag(s.mat).real))
-    try:
-        min_eig, second_eig = (float(v) for v in smallest_eigvals(s, 2))
-    except EigensolverError as exc:
-        return CertificateReport(
-            residual=residual, min_eig=float("nan"), second_eig=float("nan"),
-            diag_min=diag_min, tight=False, unique=False, error=str(exc),
-        )
-    tight = bool(residual <= RESIDUAL_TOL * n and min_eig >= PSD_TOL * n)
-    unique = bool(tight and second_eig >= RANK_TOL * n)
-    return CertificateReport(
-        residual=residual, min_eig=min_eig, second_eig=second_eig,
-        diag_min=diag_min, tight=tight, unique=unique,
-    )
 
 
 def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray) -> CertificateReport:
@@ -108,8 +84,11 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray) -> CertificateReport:
     ``lambda_1(S) >= rho - r^2 / (tau - rho)``; if that clears
     ``PSD_TOL * n``, both flags hold, with the bound as ``min_eig`` and
     ``tau`` as ``second_eig``. Otherwise ``S = T - x x* + tau I`` is formed
-    in the buffer of ``t``, and :func:`verdict` decides on its eigenvalues,
-    with the residual ``||e||``. ``diag_min`` is ``d_i`` throughout.
+    in the buffer of ``t``, and its two smallest eigenvalues, from one gated
+    values-only solve (:func:`~phasesync.hermitian.smallest_eigvals`), face
+    the gates of :class:`CertificateReport` with the residual ``||e||``. An
+    eigensolver failure is reported in-band, in ``error``, with both flags
+    false. ``diag_min`` is ``d_i`` throughout.
     """
     n = x.size
     tau = RANK_TOL * n
@@ -139,7 +118,14 @@ def decide(x: np.ndarray, t: np.ndarray, e: np.ndarray) -> CertificateReport:
     # The diagonal of S is d, whatever the proof attempt left on that of T.
     t -= np.outer(x, x.conj())
     np.fill_diagonal(t, d)
-    return verdict(HermitianMatrix(t), residual)
+    try:
+        min_eig, second_eig = (float(v) for v in smallest_eigvals(t, 2))
+    except EigensolverError as exc:
+        return CertificateReport(residual, math.nan, math.nan, float(d[i]),
+                                 tight=False, unique=False, error=str(exc))
+    tight = bool(residual <= RESIDUAL_TOL * n and min_eig >= floor)
+    return CertificateReport(residual, min_eig, second_eig, float(d[i]),
+                             tight=tight, unique=bool(tight and second_eig >= tau))
 
 
 def certify(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import evaluate_bounds
+from .metrics import evaluate_bounds, tightness_threshold
 from .model import (PhaseVector, assemble_instance, is_discordant,
                     random_signal, sample_wigner, trial_seed)
 from .solver import MAX_ITERS, solve_second_order
@@ -386,7 +386,7 @@ def curve_values(n: float) -> tuple[float, float, float, float]:
     if n < 2:
         raise ValueError(f"curves need n >= 2, got {n}")
     return (
-        n ** 0.25 / 18.0,
+        tightness_threshold(n),
         math.sqrt(n) / 3.0,
         math.sqrt(2.0 * math.pi ** 2 * n / 3.0),
         math.sqrt(n / (2.0 * math.log(n))),
@@ -432,7 +432,8 @@ def parse_grid_config(path) -> GridConfig:
       exclusive with sigma_list)
     - ``reps``, ``seed_base``, ``workers``, ``out``
     - ``max_iters``: the solver's power-step budget per complex trial (every
-      tolerance of the solver and of the certificate is a fixed constant)
+      tolerance of the solver and of the certificate is a fixed constant); a
+      real trial runs no solver, so a ``case = real`` config may not set it
 
     Unknown keys, duplicate keys, and malformed values raise ConfigError.
     """
@@ -486,6 +487,9 @@ def parse_grid_config(path) -> GridConfig:
         raise ConfigError(f"{path}: missing sigma_list or sigma_min/max/count")
 
     scalar_kwargs = {k: convert(k, kind, raw[k]) for k, kind in _SCALAR_KEYS.items() if k in raw}
+    if scalar_kwargs.get("case") == "real" and "max_iters" in raw:
+        raise ConfigError(f"{path}: key 'max_iters' sets the solver's budget, "
+                          "and a real trial runs no solver")
     return GridConfig(
         case=scalar_kwargs.get("case", "complex"),
         n_values=n_values,

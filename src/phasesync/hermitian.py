@@ -7,12 +7,13 @@ real sign problem runs real arithmetic and real LAPACK end to end.
 Every eigenvalue the package reads comes from here: one dense,
 backward-stable LAPACK solve at every n, gated before it is returned.
 :func:`extreme_eigs` checks the residual of its eigenpair, and the
-values-only :func:`smallest_eigvals` (all a verdict reads) checks that the
-spectrum reproduces the trace and Frobenius norm. Whether a matrix is
-positive definite is decided by a Cholesky factorization instead, a proof
-with no eigensolve (Rump 2006, "Verification of positive definiteness"):
-:func:`norm_at_most` here, and ``certificate.decide``, each charged
-with its own rounding (:func:`cholesky_charge`).
+values-only :func:`smallest_eigvals` (all ``certificate.decide`` reads when
+no cheaper certificate decides) checks that the spectrum reproduces the
+trace and Frobenius norm. Whether a matrix is positive definite is decided
+by a Cholesky factorization instead, a proof with no eigensolve (Rump 2006,
+"Verification of positive definiteness"): :func:`norm_at_most` here, and
+``certificate.decide``, each charged with its own rounding
+(:func:`cholesky_charge`).
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ class HermitianMatrix:
     complex128, any other as float64 (real symmetric). Construction averages
     the input with its conjugate transpose, forces the diagonal real, and
     marks a private copy read-only; the caller's array is never frozen or
-    aliased. An exactly Hermitian input, such as a closed-form certificate,
-    is copied without the averaging pass; :meth:`from_upper` skips even the
-    copy. Inputs with a NaN or infinite entry, and inputs whose asymmetry
-    exceeds ``HERMITIAN_ATOL`` (relative to the largest entry magnitude),
-    are rejected.
+    aliased. An exactly Hermitian input is copied without the averaging
+    pass; :meth:`from_upper` skips even the copy. Inputs with a NaN or
+    infinite entry, and inputs whose asymmetry exceeds ``HERMITIAN_ATOL``
+    (relative to the largest entry magnitude), are rejected.
     """
 
     mat: np.ndarray
@@ -122,9 +122,10 @@ def extreme_eigs(h: HermitianMatrix, index: int) -> tuple[float, np.ndarray]:
     return value, vec
 
 
-def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
-    """Smallest ``k`` eigenvalues of ``h``, ascending, from one dense
-    ``numpy.linalg.eigvalsh``: the backward-stable LAPACK reduction of
+def smallest_eigvals(mat: np.ndarray, k: int) -> np.ndarray:
+    """Smallest ``k`` eigenvalues of the Hermitian array ``mat``, ascending,
+    from one dense ``numpy.linalg.eigvalsh`` of its lower triangle, with no
+    copy and no symmetry check: the backward-stable LAPACK reduction of
     :func:`extreme_eigs` without the eigenvector work. With no vector there
     is no residual, so the whole spectrum is gated instead: its sum and its
     2-norm must reproduce ``tr H`` and ``||H||_F`` within the residual gate's
@@ -132,19 +133,19 @@ def smallest_eigvals(h: HermitianMatrix, k: int) -> np.ndarray:
     ValueError for ``k`` outside ``0..n``, and EigensolverError if
     ``||H||_F`` overflows (before any solve: no spectrum could meet that
     gate), if LAPACK fails to converge or if the spectrum misses the gate."""
-    n = h.n
+    n = mat.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"requested {k} eigenvalues from a {n} x {n} matrix")
     with np.errstate(over="ignore"):
-        fro = float(np.linalg.norm(h.mat))
+        fro = float(np.linalg.norm(mat))
     if not math.isfinite(fro):
         raise EigensolverError(f"||H||_F overflows to {fro}")
     try:
-        vals = np.linalg.eigvalsh(h.mat)
+        vals = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigenvalue solve failed: {exc}") from exc
     allowed = EIG_RESIDUAL_TOL * n * max(1.0, fro)
-    trace_err = abs(float(vals.sum()) - float(np.trace(h.mat).real))
+    trace_err = abs(float(vals.sum()) - float(np.trace(mat).real))
     fro_err = abs(float(np.linalg.norm(vals)) - fro)
     if not (trace_err <= allowed and fro_err <= allowed):
         raise EigensolverError(f"spectrum misses tr H by {trace_err:.3e} or ||H||_F by "

@@ -1,4 +1,9 @@
-"""Estimation-error metrics and the closed-form bound checks.
+"""Estimation errors and the closed-form bound checks, in one pass.
+
+The errors of ``x`` against the planted ``z`` are taken up to a global
+phase, from ``c = z* x``: the l2 error is ``sqrt(2 (n - |c|))``, and the
+entrywise one is that of ``x exp(-i angle c)``, or the diameter 2 for an
+orthogonal ``x`` (``c = 0``), which has no preferred phase.
 
 The flags compare a measured error against its analytic bound with a small
 additive arithmetic slack. The slack exists because the measured side is
@@ -28,10 +33,6 @@ from .model import PhaseVector
 # Additive arithmetic slack for the flag comparisons (see module docstring).
 L2_FLAG_SLACK = 1e-6
 LINF_FLAG_SLACK = 1e-6
-
-
-class AlignmentError(ValueError):
-    """Global phase alignment is undefined: the two vectors are orthogonal."""
 
 
 @dataclass(frozen=True)
@@ -65,36 +66,6 @@ class BoundReport:
     thm_threshold_ok: bool
 
 
-def l2_error(point: PhaseVector, signal: PhaseVector) -> float:
-    """Phase-aligned l2 distance, computed as sqrt(2 (n - |z* x|)).
-
-    The radicand is clamped at zero: it can go negative by rounding when the
-    two vectors coincide.
-    """
-    if point.n != signal.n:
-        raise ValueError("point and signal sizes disagree")
-    corr = abs(complex(np.vdot(signal.vec, point.vec)))
-    return math.sqrt(max(0.0, 2.0 * (point.n - corr)))
-
-
-def align_global_phase(point: PhaseVector, reference: PhaseVector) -> PhaseVector:
-    """Rotate ``point`` by the global phase that makes ``reference* point``
-    real and nonnegative. Raises :class:`AlignmentError` when the two are
-    exactly orthogonal, in which case no preferred phase exists."""
-    if point.n != reference.n:
-        raise ValueError("point and reference sizes disagree")
-    corr = complex(np.vdot(reference.vec, point.vec))
-    if corr == 0:
-        raise AlignmentError("vectors are orthogonal, global phase is undefined")
-    return PhaseVector(point.vec * np.exp(-1j * np.angle(corr)))
-
-
-def linf_error(point: PhaseVector, signal: PhaseVector) -> float:
-    """Entrywise maximum error after optimal global phase alignment."""
-    aligned = align_global_phase(point, signal)
-    return float(np.max(np.abs(aligned.vec - signal.vec)))
-
-
 def sufficient_noise_condition(n: int, sigma: float) -> bool:
     """Sharp closed-form condition on (n, sigma) under which a discordant
     noise draw forces the certificate to be positive definite:
@@ -116,19 +87,17 @@ def evaluate_bounds(signal: PhaseVector, noise: HermitianMatrix, sigma: float,
     (the arguments of :func:`~phasesync.model.assemble_instance`)."""
     if point.n != signal.n or noise.n != signal.n:
         raise ValueError("point, signal and noise sizes disagree")
-    n = signal.n
+    n, x, z = signal.n, point.vec, signal.vec
 
-    corr = abs(complex(np.vdot(signal.vec, point.vec)))
-    l2 = l2_error(point, signal)
-    if corr == 0.0:
-        # Orthogonal estimate: no alignment exists, report the diameter.
-        linf = 2.0
-    else:
-        linf = linf_error(point, signal)
+    c = complex(np.vdot(z, x))
+    corr = abs(c)
+    # The radicand can go negative by rounding when x and z coincide.
+    l2 = math.sqrt(max(0.0, 2.0 * (n - corr)))
+    linf = float(np.max(np.abs(x * np.exp(-1j * np.angle(c)) - z))) if c != 0 else 2.0
 
     lemma2_bound = 12.0 * sigma
     lemma3_bound = 6.0 * (math.sqrt(math.log(n)) + 29.0 * sigma) * sigma / math.sqrt(n)
-    wx_inf = float(np.max(np.abs(noise.mat @ point.vec)))
+    wx_inf = float(np.max(np.abs(noise.mat @ x)))
     wx_bound = (12.0 * model.OPNORM_CONST * sigma * math.sqrt(n)
                 + model.INF_CONST * math.sqrt(n * math.log(n)))
 

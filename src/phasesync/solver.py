@@ -129,7 +129,7 @@ def _top_vector(data: HermitianMatrix, top: float) -> np.ndarray:
 def _spectrum(data: HermitianMatrix) -> tuple[float, float]:
     # The shift max(0, -min_eig(C)) and the top eigenvalue of C, from one
     # gated values-only solve.
-    vals = smallest_eigvals(data, data.n)
+    vals = smallest_eigvals(data.mat, data.n)
     return max(0.0, -float(vals[0])), float(vals[-1])
 
 

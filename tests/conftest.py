@@ -57,17 +57,17 @@ def openblas_threads():
 def decisions(monkeypatch):
     """Every report of ``certificate.decide`` during the test, in call order:
     the solver's through ``certificate.certify`` and ``z2.planted_verdict``'s.
-    Each comes as ``(report, S)``, with ``S`` the certificate whose
-    eigenvalues decided, as handed to ``certificate.verdict``; ``S`` is None
-    where a factorization proved the verdict or a diagonal entry of ``S``
-    refuted it."""
+    Each comes as ``(report, S)``, with ``S`` a copy of the certificate array
+    whose eigenvalues decided, as handed to ``smallest_eigvals``; ``S`` is
+    None where a factorization proved the verdict or a diagonal entry of
+    ``S`` refuted it."""
     from phasesync import certificate, z2
 
     seen, solved = [], []
 
-    def eigenvalues(s, residual, _verdict=certificate.verdict):
-        solved.append(s)
-        return _verdict(s, residual)
+    def eigenvalues(s, k, _solve=certificate.smallest_eigvals):
+        solved.append(s.copy())
+        return _solve(s, k)
 
     def recording(x, t, e, _decide=certificate.decide):
         solved.clear()
@@ -75,7 +75,7 @@ def decisions(monkeypatch):
         seen.append((report, solved[-1] if solved else None))
         return report
 
-    monkeypatch.setattr(certificate, "verdict", eigenvalues)
+    monkeypatch.setattr(certificate, "smallest_eigvals", eigenvalues)
     for module in (certificate, z2):
         monkeypatch.setattr(module, "decide", recording)
     return seen

@@ -16,16 +16,19 @@ coordinates of a tangent vector, read off the certificate.
 :func:`real_certificate` is the closed form of the real certificate at the
 planted signs, and :func:`build_certificate` the complex one at any point,
 each built entry by entry rather than from the matrix the package's verdict
-starts from. :func:`certify_by_eigvalsh` is the verdict that reads the
-eigenvalues of that complex certificate on every row, where the package's
-proofs and refutations report bounds on them.
+starts from. :func:`eigenvalue_verdict` holds the gates of
+``certificate.decide``'s eigenvalue fallback on a certificate array, and
+:func:`certify_by_eigvalsh` applies them to that complex certificate on every
+row, where the package's proofs and refutations report bounds on the
+eigenvalues. :func:`aligned` removes the global phase that no comparison of
+two points on the torus can see.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from phasesync.certificate import CertificateReport, verdict
+from phasesync.certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, CertificateReport
 from phasesync.hermitian import HermitianMatrix, smallest_eigvals
 from phasesync.model import PhaseVector
 from phasesync.z2 import SignVector
@@ -73,7 +76,7 @@ def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
 def operator_norm(h: HermitianMatrix) -> float:
     """Spectral norm, i.e. the largest eigenvalue magnitude, from the two
     extreme eigenvalues of one dense values-only solve."""
-    vals = smallest_eigvals(h, h.n)
+    vals = smallest_eigvals(h.mat, h.n)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
@@ -242,15 +245,32 @@ def build_certificate(data: HermitianMatrix, point: PhaseVector) -> HermitianMat
     return HermitianMatrix(s)
 
 
-def verdict_at(s: HermitianMatrix, x) -> CertificateReport:
-    """``certificate.verdict`` on ``s`` with the residual ``||S x||``: the
-    eigenvalue verdict, which reads the two smallest eigenvalues of ``s``
-    whatever its diagonal."""
-    return verdict(s, float(np.linalg.norm(s.mat @ np.asarray(x))))
+def eigenvalue_verdict(s: np.ndarray, residual: float) -> CertificateReport:
+    """The gates of ``certificate.decide``'s eigenvalue fallback on the
+    certificate array ``s`` whose residual ``||S x||`` is ``residual``: the
+    two smallest eigenvalues of ``s``, from the package's gated values-only
+    solve of that same array, whatever its diagonal."""
+    n = s.shape[0]
+    min_eig, second_eig = (float(v) for v in smallest_eigvals(s, 2))
+    tight = bool(residual <= RESIDUAL_TOL * n and min_eig >= PSD_TOL * n)
+    return CertificateReport(residual, min_eig, second_eig, float(np.min(np.diag(s).real)),
+                             tight=tight, unique=bool(tight and second_eig >= RANK_TOL * n))
+
+
+def verdict_at(s: np.ndarray, x) -> CertificateReport:
+    """:func:`eigenvalue_verdict` on the certificate array ``s`` with the
+    residual ``||S x||``."""
+    return eigenvalue_verdict(s, float(np.linalg.norm(s @ np.asarray(x))))
 
 
 def certify_by_eigvalsh(data: HermitianMatrix, point: PhaseVector) -> CertificateReport:
     """The eigenvalue verdict on the certificate of ``data`` at ``point``,
     built by :func:`build_certificate`: the flags of ``certificate.certify``,
     with the eigenvalues of ``S`` where ``certify`` may report bounds."""
-    return verdict_at(build_certificate(data, point), point.vec)
+    return verdict_at(build_certificate(data, point).mat, point.vec)
+
+
+def aligned(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x`` rotated by the global phase that makes ``z* x`` real and
+    nonnegative (``x`` itself when the two are orthogonal)."""
+    return x * np.exp(-1j * np.angle(np.vdot(z, x)))

@@ -17,14 +17,13 @@ from phasesync.certificate import certify
 from phasesync.experiment import (GridConfig, aggregate_path, run_grid, run_real_trial,
                                   run_trial, run_trial_detailed)
 from phasesync.hermitian import HermitianMatrix
-from phasesync.metrics import l2_error
 from phasesync.model import (PhaseVector, assemble_instance, noise_tail_stats,
                              random_signal, sample_wigner, trial_seed)
 from phasesync.solver import solve_second_order
 
 from oracle import brute_force_qp
-from reference import (build_certificate, certify_by_eigvalsh, project_tangent, quad_form,
-                       retract, riemannian_grad, tangent_hessian)
+from reference import (aligned, build_certificate, certify_by_eigvalsh, project_tangent,
+                       quad_form, retract, riemannian_grad, tangent_hessian)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -126,7 +125,7 @@ def test_criterion_5_oracle_equivalence():
                 bx, _, converged = brute_force_qp(inst.C)
                 if not converged:
                     unconverged += 1
-                dist = l2_error(srep.x, PhaseVector(bx))
+                dist = float(np.linalg.norm(aligned(srep.x.vec, bx) - bx))
                 worst = max(worst, dist / math.sqrt(n))
                 if dist > 1e-6 * math.sqrt(n):
                     counterexamples += 1

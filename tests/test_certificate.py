@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync import certificate
-from phasesync.certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, certify, verdict
+from phasesync.certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, certify
 from phasesync.hermitian import cholesky_charge
 from phasesync.model import PhaseVector, assemble_instance, random_signal, sample_wigner
 from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import (build_certificate, certify_by_eigvalsh, jacobi_eigvalsh, quad_form,
-                       real_certificate, riemannian_grad, verdict_at)
+from reference import (build_certificate, certify_by_eigvalsh, eigenvalue_verdict,
+                       jacobi_eigvalsh, quad_form, real_certificate, riemannian_grad)
 
 
 def _instance(n, sigma, seed):
@@ -155,9 +155,11 @@ def _certificates(n):
 
 
 class TestValuesOnlyVerdict:
-    def test_matches_verdict_from_eigenpairs(self, monkeypatch):
-        # The verdict computes no eigenvector, and decides as one made on the
-        # two bottom eigenpairs of a full eigendecomposition would.
+    def test_matches_verdict_from_eigenpairs(self, monkeypatch, decisions):
+        # decide's eigenvalue fallback computes no eigenvector, and decides as
+        # one made on the two bottom eigenpairs of a full eigendecomposition
+        # would. An infinite rounding charge lets neither a diagonal entry
+        # refute nor a factorization prove, so every certificate reaches it.
         def no_eigenvectors(*args, **kwargs):
             raise AssertionError("the verdict computed eigenvectors")
 
@@ -165,9 +167,12 @@ class TestValuesOnlyVerdict:
         for n in (20, 60, 200):
             for s, kernel in _certificates(n):
                 ref = np.linalg.eigh(s.mat)[0][:2]
+                t = s.mat + np.outer(kernel, kernel.conj()) - RANK_TOL * n * np.eye(n)
                 with monkeypatch.context() as m:
                     m.setattr(np.linalg, "eigh", no_eigenvectors)
-                    report = verdict_at(s, kernel)
+                    m.setattr(certificate, "cholesky_charge", lambda n, trace: math.inf)
+                    report, formed = _decided(decisions, kernel, t, s.mat @ kernel)
+                assert formed is not None
                 tight = bool(report.residual <= RESIDUAL_TOL * n and ref[0] >= PSD_TOL * n)
                 unique = bool(tight and ref[1] >= RANK_TOL * n)
                 assert (report.tight, report.unique) == (tight, unique)
@@ -229,8 +234,8 @@ class TestDecide:
             s_mat, x = self._tilted(theta, mu)
             report, s = self._decide(decisions, s_mat, x)
             assert s is not None
-            assert np.abs(s.mat - s_mat).max() <= 1e-15
-            assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
+            assert np.abs(s - s_mat).max() <= 1e-15
+            assert report == eigenvalue_verdict(s, float(np.linalg.norm(s_mat @ x)))
 
     def test_nonpositive_diagonal_skips_the_factorization(self, monkeypatch, decisions):
         # S = T - x x* + tau I has the diagonal entry -1 + tau: the verdict is
@@ -282,7 +287,7 @@ class TestDecide:
             if proved:
                 assert report.tight and report.unique and report.second_eig == tau
             else:
-                assert report == verdict(s, float(np.linalg.norm(s_mat @ x)))
+                assert report == eigenvalue_verdict(s, float(np.linalg.norm(s_mat @ x)))
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_refuted_eigenvalues_bound_those_of_s_from_above(self, decisions, n):

@@ -5,6 +5,7 @@ import math
 import platform
 import resource
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,14 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_grid, run_real_trial, run_trial,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync import certificate, experiment, hermitian, model
-from phasesync.certificate import RANK_TOL, verdict
+from phasesync.certificate import RANK_TOL
 from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
                              trial_seed)
 from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, sample_real_wigner
 
-from reference import (build_certificate, certify_by_eigvalsh, quad_form, real_certificate,
-                       verdict_at)
+from reference import (build_certificate, certify_by_eigvalsh, eigenvalue_verdict, quad_form,
+                       real_certificate, verdict_at)
 
 
 def _write_config(tmp_path, text):
@@ -126,6 +127,10 @@ out = g.csv
 
     def test_bad_solver_value_rejected(self, tmp_path):
         text = BASE_CFG.format(out="g.csv") + "max_iters = 0\n"
+        with pytest.raises(ConfigError, match="max_iters"):
+            parse_grid_config(_write_config(tmp_path, text))
+        # A real trial runs no solver, so a real config has no budget to set.
+        text = "case = real\nn_values = 20\nsigma_list = 0.5 3\nmax_iters = 7\n"
         with pytest.raises(ConfigError, match="max_iters"):
             parse_grid_config(_write_config(tmp_path, text))
 
@@ -316,9 +321,35 @@ class TestEigensolves:
 
         monkeypatch.setattr(np.linalg, "cholesky", watched)
         again = run_trial(n, sigma, seed)
-        assert log == [("eigvalsh", _digest(inst.C.mat)), ("eigvalsh", _digest(s.mat))]
+        assert log == [("eigvalsh", _digest(inst.C.mat)), ("eigvalsh", _digest(s))]
         assert factorized == [(n, n)] * 3
         assert trial_csv_row(again) == trial_csv_row(rec)
+
+    @pytest.mark.parametrize("trial, n, dtype, most", [
+        (lambda: run_trial(200, 15.0, 0, max_iters=30), 200, np.complex128, 4.6),
+        (lambda: run_real_trial(400, 7.0, 5), 400, np.float64, 3.5),
+    ], ids=["complex", "real"])
+    def test_eigvalsh_row_solves_s_where_it_was_formed(self, monkeypatch, trial, n, dtype,
+                                                       most):
+        # A row that eigvalsh(S) decides solves S in the buffer decide formed
+        # it in, with no copy: its traced peak, in n x n arrays of the trial's
+        # dtype, stays under the bound (one more array of S would exceed it).
+        solved = []
+
+        def counted(s, k, _solve=certificate.smallest_eigvals):
+            solved.append(s.shape)
+            return _solve(s, k)
+
+        monkeypatch.setattr(certificate, "smallest_eigvals", counted)
+        trial()
+        tracemalloc.start()
+        try:
+            rec = trial()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rec.tight and solved == [(n, n)] * 2
+        assert peak <= most * n * n * np.dtype(dtype).itemsize
 
     def test_unique_real_trial_runs_no_eigensolve(self, monkeypatch):
         # The Cholesky factorization proves the verdict by itself.
@@ -338,7 +369,7 @@ class TestEigensolves:
         assert not rec.tight
         [(report, s)] = decisions
         assert report.diag_min > 0.0
-        assert log == [("eigvalsh", _digest(s.mat))]
+        assert log == [("eigvalsh", _digest(s))]
 
     def test_refuted_real_trial_runs_no_eigensolve(self, monkeypatch, decisions):
         # Far past the threshold a diagonal entry of S is negative.
@@ -358,7 +389,7 @@ class TestEigensolves:
         injected = _fail_proof(monkeypatch)
         run_trial(n, sigma, seed)
         [(_, s)] = decisions
-        _watch_eigensolves(monkeypatch, fail={_digest(s.mat)})
+        _watch_eigensolves(monkeypatch, fail={_digest(s)})
         rec = run_trial(n, sigma, seed)
         assert injected == [(n, n), (n, n)]
         assert not rec.tight and not rec.unique
@@ -377,17 +408,17 @@ class TestPlantedProof:
     def _eig_verdict(n, sigma, seed):
         z = random_signs(n, seed)
         s = real_certificate(z, sample_real_wigner(n, seed), sigma)
-        return s, verdict_at(s, z.vec)
+        return s, verdict_at(s.mat, z.vec)
 
     @staticmethod
     def _assert_fallback(report, s, ref, ref_s):
         # A verdict no proof decided is the eigenvalue verdict on the S that
         # decide formed, field for field, with the reference's flags; that
         # S is the reference certificate to rounding.
-        assert report == verdict(s, report.residual)
+        assert report == eigenvalue_verdict(s, report.residual)
         assert (report.tight, report.unique) == (ref.tight, ref.unique)
         slack = 4 * np.finfo(float).eps * np.abs(ref_s.mat).max()
-        assert np.abs(s.mat - ref_s.mat).max() <= slack
+        assert np.abs(s - ref_s.mat).max() <= slack
 
     def test_matches_eigenvalue_verdict_across_the_threshold(self, monkeypatch, decisions):
         # Every kind of row agrees with the eigenvalue verdict on tight and
@@ -421,7 +452,7 @@ class TestPlantedProof:
                         assert rec.min_eig_S >= ref.min_eig - slack
                     else:
                         kinds.add("eigvalsh")
-                        assert log == [("eigvalsh", _digest(s.mat))]
+                        assert log == [("eigvalsh", _digest(s))]
                         self._assert_fallback(report, s, ref, ref_s)
         assert kinds == {"proved", "refuted", "eigvalsh"}
 

@@ -227,19 +227,19 @@ class TestSmallestEigvals:
         for n in (1, 7, 40):
             h = make(n, n)
             scale = n * max(1.0, float(np.linalg.norm(h.mat)))
-            got = smallest_eigvals(h, min(n, 2))
+            got = smallest_eigvals(h.mat, min(n, 2))
             ref = np.linalg.eigh(h.mat)[0][:min(n, 2)]
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * scale
             assert abs(got[0] - extreme_eigs(h, 0)[0]) <= 1e-12 * scale
-        assert smallest_eigvals(make(5, 0), 0).size == 0
+        assert smallest_eigvals(make(5, 0).mat, 0).size == 0
 
     def test_count_validation(self):
         h = _random_hermitian(4, 0)
         with pytest.raises(ValueError):
-            smallest_eigvals(h, 5)
+            smallest_eigvals(h.mat, 5)
         with pytest.raises(ValueError):
-            smallest_eigvals(h, -1)
+            smallest_eigvals(h.mat, -1)
 
     @pytest.mark.parametrize("index", [0, 1, -1])
     def test_shifted_eigenvalue_fails_the_gate(self, monkeypatch, index):
@@ -255,7 +255,7 @@ class TestSmallestEigvals:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
         with pytest.raises(EigensolverError, match="misses tr H"):
-            smallest_eigvals(h, 2)
+            smallest_eigvals(h.mat, 2)
 
     def test_nan_fails_the_gate(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
@@ -267,7 +267,7 @@ class TestSmallestEigvals:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
         with pytest.raises(EigensolverError):
-            smallest_eigvals(_random_symmetric(10, 1), 2)
+            smallest_eigvals(_random_symmetric(10, 1).mat, 2)
 
     def test_lapack_failure_raises(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -275,7 +275,7 @@ class TestSmallestEigvals:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(EigensolverError, match="did not converge"):
-            smallest_eigvals(_random_hermitian(6, 3), 2)
+            smallest_eigvals(_random_hermitian(6, 3).mat, 2)
 
     @pytest.mark.parametrize("make", [_random_symmetric, _random_hermitian])
     def test_overflowing_norm_is_refused_before_the_solve(self, monkeypatch, make):
@@ -289,7 +289,7 @@ class TestSmallestEigvals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EigensolverError, match="overflows"):
-                smallest_eigvals(h, 2)
+                smallest_eigvals(h.mat, 2)
 
 
 class TestOperatorNorm:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync import model
-from phasesync.metrics import (AlignmentError, evaluate_bounds, l2_error, linf_error,
-                               sufficient_noise_condition, tightness_threshold)
+from phasesync.experiment import curve_values
+from phasesync.hermitian import HermitianMatrix
+from phasesync.metrics import evaluate_bounds, sufficient_noise_condition, tightness_threshold
 from phasesync.model import (PhaseVector, assemble_instance, is_discordant, random_signal,
                              sample_wigner)
 from phasesync.solver import solve_second_order
@@ -21,21 +22,34 @@ def _instance(n, sigma, seed):
     return assemble_instance(z, w, sigma, seed)
 
 
+def _errors(x, z):
+    # evaluate_bounds on a noiseless instance: only l2_err, linf_err and
+    # correlation depend on x.
+    return evaluate_bounds(z, HermitianMatrix(np.zeros((z.n, z.n), complex)), 0.0, x)
+
+
 class TestL2Error:
     def test_zero_at_same_point(self):
         z = random_signal(30, 1)
-        assert l2_error(z, z) <= 1e-6
+        assert _errors(z, z).l2_err <= 1e-6
 
-    def test_phase_invariant(self):
+    @given(st.floats(-10.0, 10.0))
+    def test_phase_invariant(self, theta):
+        # Both errors see no global phase of the estimate: a rotated copy of
+        # z is at distance 0, and a rotated x is as far from z as x is.
         z = random_signal(30, 2)
-        rotated = PhaseVector(z.vec * np.exp(0.456j))
-        assert l2_error(rotated, z) <= 1e-6
+        x = random_signal(30, 3)
+        rotated = PhaseVector(x.vec * np.exp(1j * theta))
+        assert _errors(PhaseVector(z.vec * np.exp(1j * theta)), z).l2_err <= 1e-6
+        a, b = _errors(x, z), _errors(rotated, z)
+        assert a.l2_err == pytest.approx(b.l2_err, abs=1e-9)
+        assert a.linf_err == pytest.approx(b.linf_err, abs=1e-9)
 
     @given(st.integers(0, 2**31 - 1))
     def test_matches_grid_scan_alignment(self, seed):
         x = random_signal(9, seed)
         z = random_signal(9, seed + 1)
-        got = l2_error(x, z)
+        got = _errors(x, z).l2_err
         ref = min_phase_distance(np.asarray(x.vec), np.asarray(z.vec))
         assert got == pytest.approx(ref, abs=1e-3)
 
@@ -45,36 +59,56 @@ class TestL2Error:
         x = random_signal(11, seed)
         z = random_signal(11, seed + 2)
         corr = abs(np.vdot(z.vec, x.vec))
-        assert l2_error(x, z) ** 2 == pytest.approx(2.0 * (11 - corr), abs=1e-9)
+        got = _errors(x, z)
+        assert got.correlation == pytest.approx(corr, abs=1e-12)
+        assert got.l2_err ** 2 == pytest.approx(2.0 * (11 - corr), abs=1e-9)
 
     def test_orthogonal_gives_sqrt_2n(self):
         z = PhaseVector(np.ones(4, dtype=complex))
         x = PhaseVector(np.array([1.0, -1.0, 1.0, -1.0], dtype=complex))
-        assert l2_error(x, z) == pytest.approx(math.sqrt(8.0), abs=1e-12)
+        assert _errors(x, z).l2_err == math.sqrt(8.0)
 
 
 class TestLinfError:
     def test_zero_at_rotated_copy(self):
         z = random_signal(12, 3)
         rotated = PhaseVector(z.vec * np.exp(-1.1j))
-        assert linf_error(rotated, z) <= 1e-12
+        assert _errors(rotated, z).linf_err <= 1e-12
+
+    @given(st.integers(0, 2**31 - 1))
+    def test_matches_grid_scan_alignment(self, seed):
+        # The entrywise error is taken at the phase that minimizes the l2
+        # distance, found here by scanning the circle.
+        x = random_signal(9, seed)
+        z = random_signal(9, seed + 1)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)
+        dist = np.linalg.norm(x.vec[None, :] * np.exp(1j * thetas)[:, None] - z.vec, axis=1)
+        best = x.vec * np.exp(1j * thetas[np.argmin(dist)])
+        assert _errors(x, z).linf_err == pytest.approx(np.abs(best - z.vec).max(), abs=1e-3)
 
     def test_bounded_by_l2(self):
         x = random_signal(15, 4)
         z = random_signal(15, 5)
-        assert linf_error(x, z) <= l2_error(x, z) + 1e-9
+        got = _errors(x, z)
+        assert got.linf_err <= got.l2_err + 1e-9
 
-    def test_orthogonal_raises(self):
-        z = PhaseVector(np.ones(2, dtype=complex))
-        x = PhaseVector(np.array([1.0, -1.0], dtype=complex))
-        with pytest.raises(AlignmentError):
-            linf_error(x, z)
+    def test_orthogonal_gives_the_diameter(self):
+        # An orthogonal estimate has no preferred phase: the entrywise error
+        # is the diameter 2 of the circle, and the l2 error is sqrt(2 n).
+        for n in (2, 4):
+            z = PhaseVector(np.ones(n, dtype=complex))
+            x = PhaseVector(np.resize([1.0 + 0j, -1.0 + 0j], n))
+            got = _errors(x, z)
+            assert got.correlation == 0.0
+            assert got.l2_err == math.sqrt(2.0 * n)
+            assert got.linf_err == 2.0
 
 
 class TestThresholds:
     def test_tightness_threshold_values(self):
         assert tightness_threshold(81 * 81 * 81 * 81) == pytest.approx(81.0 / 18.0)
         assert tightness_threshold(16) == pytest.approx(2.0 / 18.0)
+        assert curve_values(16)[0] == tightness_threshold(16)
 
     def test_threshold_implies_sufficient_condition(self):
         # The simple n^(1/4)/18 rule is strictly inside the sharp condition

@@ -148,7 +148,7 @@ class TestRealCertificate:
 def _recovery(z, w, sigma):
     # The shared certificate verdict at the planted signs: tight means the
     # relaxation recovers z z^T exactly.
-    return verdict_at(real_certificate(z, w, sigma), z.vec)
+    return verdict_at(real_certificate(z, w, sigma).mat, z.vec)
 
 
 class TestRecoveryCheck:
@@ -204,8 +204,8 @@ class TestRecoveryCheck:
                 w = sample_real_wigner(n, seed)
                 for factor in (0.5, 0.9, 1.1, 2.0):
                     s = real_certificate(z, w, factor * threshold)
-                    got = verdict_at(s, z.vec)
-                    ref = verdict_at(HermitianMatrix(s.mat.astype(np.complex128)), z.vec)
+                    got = verdict_at(s.mat, z.vec)
+                    ref = verdict_at(s.mat.astype(np.complex128), z.vec)
                     assert (got.tight, got.unique) == (ref.tight, ref.unique)
                     outcomes.add(got.tight)
         assert outcomes == {True, False}
