@@ -7,20 +7,16 @@ sweeps from a config file, ``curves`` for the overlay thresholds, and
 
 Exit codes: 0 on success, 1 on I/O or config errors, 2 when ``solve`` fails
 to converge, 3 when an eigensolver fails, in any subcommand.
-``PHASESYNC_WORKERS`` overrides the worker count of a grid run without
-touching the config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import os
 import sys
 
 from .certificate import certify
-from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, WORKERS_ENV_VAR, ConfigError,
+from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, ConfigError,
                          aggregate_path, emit_curves, parse_grid_config,
                          run_grid, run_trial_detailed, trial_csv_row, write_curves,
                          _fmt)
@@ -66,15 +62,6 @@ def _grid_common(args, want_case: str) -> int:
             f"{args.config}: this subcommand runs case={want_case!r} grids, "
             f"config says {config.case!r}"
         )
-    override = os.environ.get(WORKERS_ENV_VAR)
-    if override is not None:
-        try:
-            workers = int(override)
-        except ValueError as exc:
-            raise ConfigError(f"bad {WORKERS_ENV_VAR} value {override!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be at least 1, got {workers}")
-        config = dataclasses.replace(config, workers=workers)
     aggregates = run_grid(config)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(AGG_COLUMNS)

@@ -44,8 +44,6 @@ from .model import (PhaseVector, assemble_instance, is_discordant,
 from .solver import MAX_ITERS, solve_second_order
 from .z2 import planted_verdict, random_signs, sample_real_wigner
 
-WORKERS_ENV_VAR = "PHASESYNC_WORKERS"
-
 
 class ConfigError(ValueError):
     """A grid config file is malformed or inconsistent."""

@@ -75,11 +75,14 @@ class HermitianMatrix:
     def from_upper(cls, upper: np.ndarray) -> HermitianMatrix:
         """The matrix with a zero diagonal and ``upper`` as its strict upper
         triangle, row by row: Hermitian by construction, so it is checked only
-        for finite entries, and neither averaged nor copied."""
+        for its length and for finite entries, and neither averaged nor
+        copied."""
         u = np.asarray(upper, np.complex128 if np.iscomplexobj(upper) else np.float64)
         if not np.isfinite(u).all():
             raise ValueError("matrix has a NaN or infinite entry")
         n = (1 + math.isqrt(1 + 8 * u.size)) // 2
+        if n * (n - 1) // 2 != u.size:
+            raise ValueError(f"a strict upper triangle has n(n-1)/2 entries, got {u.size}")
         w = np.zeros((n, n), u.dtype)
         mask = ~np.tri(n, dtype=bool)
         w[mask] = u

@@ -19,7 +19,10 @@ for that ``x``. The pieces:
   ``2 ||Im(y o xbar)||``, falls below ``GRAD_TOL * n``;
 * a one-time restart from the planted signal, when one is supplied and the
   first stationary point found scores below it; converged runs therefore
-  always report a cost at least that of the plant;
+  always report a cost at least that of the plant. The ascent from the plant
+  gets what is left of the ``max_iters`` budget, so the reported iteration
+  count is the steps from the start plus the steps from the plant; the jump
+  to the plant is not a step;
 * at the returned point ``certificate.certify`` gives the verdict, the
   same call that certifies a stored estimate: refuted by a diagonal entry of
   ``S``, with upper bounds on its eigenvalues; proved tight and unique by
@@ -70,7 +73,9 @@ MAX_ITERS = 500
 class SolverReport:
     """Outcome of a solve.
 
-    ``iterations`` counts power steps; the optional restart is not counted.
+    ``iterations`` counts power steps: those from the start plus those from
+    the plant after the optional restart, which share the ``max_iters``
+    budget; the jump to the plant is not a step.
     ``escapes`` is always 0: the solver takes no escape steps, and the field
     stays because the benchmark's tracer (``perfbench/tracing.py``) reads it.
     ``planted_cost`` and ``beat_planted`` are None when no planted signal was
@@ -160,51 +165,43 @@ def solve_second_order(
     if x0 is None:
         x0 = _round_phases(_top_vector(data, top))
 
+    def cost_of(v):
+        return float(np.vdot(v, cmat @ v).real)
+
+    def ascend(v, budget):
+        # Power steps from v until the gradient norm is at most tol or budget
+        # steps are spent; returns (x, gradient norm, steps). C + lam I and
+        # the arrays a step fills in place are formed once per call.
+        x = np.array(v, dtype=np.result_type(cmat, v))
+        c = cmat.astype(x.dtype)
+        c[np.diag_indices(n)] += shift
+        y, xc, r = np.empty_like(x), np.empty_like(x), np.empty(n)
+        steps = 0
+        while True:
+            np.matmul(c, x, out=y)
+            # Half the Riemannian gradient of -x* C x is e = S x, and |e_i| =
+            # |Im((C x)_i xbar_i)| = |Im(y_i xbar_i)| as lam |x_i|^2 is real.
+            b = np.multiply(y, np.conjugate(x, out=xc), out=xc).imag
+            gn = 2.0 * math.sqrt(b.dot(b))
+            if gn <= tol or steps == budget:
+                return x, gn, steps
+            # Entries without a usable phase keep their previous one.
+            np.abs(y, out=r)
+            np.divide(y, r, out=x, where=r > PHASE_FLOOR)
+            steps += 1
+
+    x, gn, iterations = ascend(x0.vec, max_iters)
+    cost = cost_of(x)
     cost_z = None
     if signal is not None:
-        cost_z = float(np.vdot(signal.vec, cmat @ signal.vec).real)
+        cost_z = cost_of(signal.vec)
+        if gn <= tol and cost < cost_z:
+            x, gn, steps = ascend(signal.vec, max_iters - iterations)
+            iterations += steps
+            cost = cost_of(x)
+    converged = gn <= tol
 
-    def work(v):
-        # A copy of the iterate, C + lam I and the arrays a power step fills
-        # in place: y, xbar, y o xbar and r = |y|.
-        # Set up once per starting point (the start and the plant).
-        v = np.array(v, dtype=np.result_type(cmat, v))
-        c = cmat.astype(v.dtype)
-        c[np.diag_indices(n)] += shift
-        return v, c, *(np.empty_like(v) for _ in range(3)), np.empty(v.shape)
-
-    x, cshift, y, xc, yx, r = work(x0.vec)
-    iterations = 0
-    restarted = False
-
-    while True:
-        np.matmul(cshift, x, out=y)
-        # Half the Riemannian gradient of -x* C x is e = S x, and |e_i| =
-        # |Im((C x)_i xbar_i)| = |Im(y_i xbar_i)| as lam |x_i|^2 is real.
-        b = np.multiply(y, np.conjugate(x, out=xc), out=yx).imag
-        gn = 2.0 * math.sqrt(b.dot(b))
-        converged = gn <= tol
-        if not converged and iterations < max_iters:
-            np.abs(y, out=r)
-            # The guard for entries without a usable phase, only when one
-            # exists: those keep their previous phase.
-            if np.minimum.reduce(r) > PHASE_FLOOR:
-                np.divide(y, r, out=x)
-            else:
-                np.divide(y, r, out=x, where=r > PHASE_FLOOR)
-            iterations += 1
-            continue
-        w = cmat @ x
-        cost = float(np.vdot(x, w).real)
-        if converged and signal is not None and not restarted and cost < cost_z:
-            x, cshift, y, xc, yx, r = work(signal.vec)
-            restarted = True
-            continue
-        break
-
-    # Every exit takes certify's verdict on its x. The power loop's arrays go
-    # first, so C + lam I is freed before certify forms its own n x n T.
-    del cshift, y, xc, yx, r, b, w
+    # Every exit takes certify's verdict on its x.
     point = PhaseVector(x)
     cert = certify(data, point)
 

@@ -340,28 +340,6 @@ out = {out}
         assert stdout == ""
         assert err.startswith("eigensolver failure: ")
 
-    def test_workers_env_override(self, capsys, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        cfg1 = tmp_path / "a.cfg"
-        cfg2 = tmp_path / "b.cfg"
-        cfg1.write_text(self.CFG.format(case="complex", out=out1))
-        cfg2.write_text(self.CFG.format(case="complex", out=out2))
-        run_cli(capsys, "grid", "--config", str(cfg1))
-        monkeypatch.setenv("PHASESYNC_WORKERS", "3")
-        code, _, _ = run_cli(capsys, "grid", "--config", str(cfg2))
-        assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_workers_env_rejects_garbage(self, capsys, tmp_path, monkeypatch):
-        out = tmp_path / "g.csv"
-        cfg = tmp_path / "g.cfg"
-        cfg.write_text(self.CFG.format(case="complex", out=out))
-        monkeypatch.setenv("PHASESYNC_WORKERS", "many")
-        code, _, err = run_cli(capsys, "grid", "--config", str(cfg))
-        assert code == 1
-        assert "PHASESYNC_WORKERS" in err
-
 
 class TestCurves:
     def test_stdout(self, capsys):

@@ -132,6 +132,12 @@ class TestFromUpper:
         assert np.array_equal(np.diag(h.mat), np.zeros(5))
         assert np.array_equal(h.mat[np.triu_indices(5, k=1)], upper)
         assert np.array_equal(h.mat, _triangle_copy(upper, 5).mat)
+        # An empty triangle is the 1 x 1 zero matrix; a length not of the
+        # form n(n-1)/2 is named in the error.
+        assert np.array_equal(HermitianMatrix.from_upper(upper[:0]).mat, np.zeros((1, 1)))
+        for m in (2, 4):
+            with pytest.raises(ValueError, match=rf"n\(n-1\)/2 entries, got {m}$"):
+                HermitianMatrix.from_upper(upper[:m])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries_like_the_constructor(self, bad):

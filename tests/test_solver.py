@@ -232,8 +232,8 @@ class TestModerateNoise:
     @pytest.mark.parametrize("sigma", [0.5, 3.0])
     def test_iterates_match_the_plain_power_loop_bit_for_bit(self, monkeypatch, sigma):
         # The loop forms C + shift I once, reads the gradient norm off the
-        # product it steps with, fills preallocated arrays in place and skips
-        # the small-modulus guard when no entry needs it; none of this may
+        # product it steps with, fills preallocated arrays in place and masks
+        # its phase divide with the small-modulus guard; none of this may
         # change a bit of any iterate or of the gradient norm. The shift comes
         # from the solver's own values-only solve of C.
         n = 30
@@ -247,6 +247,23 @@ class TestModerateNoise:
             assert rep.iterations == budget
             assert rep.x.vec.tobytes() == x.tobytes()
             assert rep.grad_norm == grad_norm
+
+    def test_restart_iterates_match_the_plain_power_loop_bit_for_bit(self):
+        # The start is first-order critical with cost 0 and the plant costs
+        # more, so the restart fires at once and the whole budget goes to the
+        # ascent from the plant; the jump to the plant is not a step.
+        data, x0 = _first_order_point(7)
+        rng = np.random.default_rng(107)
+        z = PhaseVector(np.exp(2j * np.pi * rng.random(data.n)))
+        shift = _spectrum(data)[0]
+        converged_at = solve_second_order(data, x0, signal=z).iterations
+        for budget in (1, 2, 7, converged_at):
+            rep = solve_second_order(data, x0, signal=z, max_iters=budget)
+            x, grad_norm = power_iterates(data.mat, z.vec, shift, budget)
+            assert rep.iterations == budget
+            assert rep.x.vec.tobytes() == x.tobytes()
+            assert rep.grad_norm == grad_norm
+        assert rep.converged
 
     def test_guarded_step_matches_the_plain_power_loop_bit_for_bit(self, monkeypatch):
         # min_eig(C) = 0 and ((C + shift I) x)_1 = 0, so the first step leaves
