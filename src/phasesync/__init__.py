@@ -10,14 +10,14 @@ from .model import (DiscordanceReport, PhaseVector, SyncInstance, TailStats,
                     assemble_instance, is_discordant, noise_tail_stats,
                     philox_stream, random_signal, sample_wigner, trial_seed)
 from .solver import SolverReport, solve_second_order
-from .z2 import SignVector, random_signs, sample_real_wigner
+from .z2 import random_signs, sample_real_wigner
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CertificateReport", "DiscordanceReport",
-    "EigensolverError", "HermitianMatrix", "PhaseVector", "SignVector",
-    "SolverReport", "SyncInstance", "TailStats",
+    "EigensolverError", "HermitianMatrix", "PhaseVector", "SolverReport",
+    "SyncInstance", "TailStats",
     "assemble_instance", "certify", "evaluate_bounds",
     "extreme_eigs", "is_discordant", "noise_tail_stats",
     "philox_stream", "random_signal", "random_signs",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
 from .certificate import certify
 from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, ConfigError,
@@ -21,12 +22,13 @@ from .experiment import (AGG_COLUMNS, TRIAL_COLUMNS, ConfigError,
                          run_grid, run_trial_detailed, trial_csv_row, write_curves,
                          _fmt)
 from .hermitian import EigensolverError
-from .model import noise_tail_stats
+from .model import TailStats, noise_tail_stats
 from .serialize import (read_instance, read_phase_vector, write_instance,
                         write_phase_vector)
 from .solver import MAX_ITERS
 
 CERT_COLUMNS = ("residual", "min_eig", "second_eig", "diag_min", "tight", "unique")
+NOISE_COLUMNS = tuple(f.name for f in fields(TailStats))
 
 
 def _cmd_solve(args) -> int:
@@ -92,11 +94,9 @@ def _cmd_curves(args) -> int:
 
 def _cmd_check_noise(args) -> int:
     stats = noise_tail_stats(args.n, args.trials, args.seed)
-    columns = ("n", "trials", "opnorm_exceed_freq", "opnorm_threshold", "opnorm_prob_bound",
-               "inf_exceed_freq", "inf_threshold", "inf_prob_bound")
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerow([_fmt(getattr(stats, name)) for name in columns])
+    writer.writerow(NOISE_COLUMNS)
+    writer.writerow([_fmt(getattr(stats, name)) for name in NOISE_COLUMNS])
     return 0
 
 

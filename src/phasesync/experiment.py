@@ -39,8 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import evaluate_bounds, tightness_threshold
-from .model import (PhaseVector, assemble_instance, is_discordant,
-                    random_signal, sample_wigner, trial_seed)
+from .model import assemble_instance, is_discordant, random_signal, sample_wigner, trial_seed
 from .solver import MAX_ITERS, solve_second_order
 from .z2 import planted_verdict, random_signs, sample_real_wigner
 
@@ -49,12 +48,13 @@ class ConfigError(ValueError):
     """A grid config file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GridConfig:
-    """Resolved experiment grid. ``sigmas`` is already expanded; config files
-    may instead give a log-spaced rule (see :func:`parse_grid_config`)."""
+    """Resolved experiment grid, with the defaults of a config file.
+    ``sigmas`` is already expanded; config files may instead give a
+    log-spaced rule (see :func:`parse_grid_config`)."""
 
-    case: str
+    case: str = "complex"
     n_values: tuple[int, ...]
     sigmas: tuple[float, ...]
     reps: int = 1
@@ -141,6 +141,22 @@ def trial_csv_row(record: TrialRecord) -> list[str]:
     return [_fmt(getattr(record, name)) for name in TRIAL_COLUMNS]
 
 
+def _trial_record(case, n, sigma, rep, seed, disc, cert, bounds, runtime_ms,
+                  **solver_columns) -> TrialRecord:
+    """One trial row from the three reports, plus the five ``solver_columns``
+    each case fills its own way (converged, beat_planted, costs, grad_norm)."""
+    return TrialRecord(
+        case=case, n=n, sigma=float(sigma), rep=rep, seed=seed,
+        discordant=disc.discordant,
+        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
+        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
+        tight=cert.tight, unique=cert.unique,
+        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
+        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
+        runtime_ms=runtime_ms, **solver_columns,
+    )
+
+
 def run_trial_detailed(
     n: int,
     sigma: float,
@@ -162,18 +178,10 @@ def run_trial_detailed(
     bounds = evaluate_bounds(z, w, sigma, rep_solve.x)
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    record = TrialRecord(
-        case="complex", n=n, sigma=float(sigma), rep=rep, seed=seed,
-        discordant=disc.discordant,
-        converged=rep_solve.converged,
-        beat_planted=bool(rep_solve.beat_planted),
+    record = _trial_record(
+        "complex", n, sigma, rep, seed, disc, cert, bounds, runtime_ms,
+        converged=rep_solve.converged, beat_planted=bool(rep_solve.beat_planted),
         cost_x=rep_solve.cost, cost_z=rep_solve.planted_cost, grad_norm=rep_solve.grad_norm,
-        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
-        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
-        tight=cert.tight, unique=cert.unique,
-        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
-        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
-        runtime_ms=runtime_ms,
     )
     return record, inst, rep_solve
 
@@ -201,24 +209,16 @@ def run_real_trial(n: int, sigma: float, seed: int, rep: int = 0) -> TrialRecord
 
     z = random_signs(n, seed)
     w = sample_real_wigner(n, seed)
-    zp = PhaseVector(z.vec)
-    disc = is_discordant(w, zp)
+    disc = is_discordant(w, z)
     cert = planted_verdict(z, w, sigma)
-    bounds = evaluate_bounds(zp, w, sigma, zp)
+    bounds = evaluate_bounds(z, w, sigma, z)
     cost_z = n * n + sigma * float(z.vec @ (w.mat @ z.vec))
 
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return TrialRecord(
-        case="real", n=n, sigma=float(sigma), rep=rep, seed=seed,
-        discordant=disc.discordant,
-        converged=True, beat_planted=True,
-        cost_x=cost_z, cost_z=cost_z, grad_norm=2.0 * cert.residual,
-        l2_err=bounds.l2_err, linf_err=bounds.linf_err, wx_inf=bounds.wx_inf,
-        min_eig_S=cert.min_eig, second_eig_S=cert.second_eig, residual=cert.residual,
-        tight=cert.tight, unique=cert.unique,
-        lemma2_ok=bounds.lemma2_ok, lemma3_ok=bounds.lemma3_ok, wx_ok=bounds.wx_ok,
-        suff_cond_ok=bounds.suff_cond_ok, thm_threshold_ok=bounds.thm_threshold_ok,
-        runtime_ms=runtime_ms,
+    return _trial_record(
+        "real", n, sigma, rep, seed, disc, cert, bounds, runtime_ms,
+        converged=True, beat_planted=True, cost_x=cost_z, cost_z=cost_z,
+        grad_norm=2.0 * cert.residual,
     )
 
 
@@ -331,8 +331,7 @@ def run_grid(config: GridConfig) -> list[CellAggregate]:
             for index, (n, sigma, rep) in enumerate(lattice)]
 
     out_path = Path(config.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     agg_out = aggregate_path(out_path)
 
     aggregates: list[CellAggregate] = []
@@ -488,13 +487,4 @@ def parse_grid_config(path) -> GridConfig:
     if scalar_kwargs.get("case") == "real" and "max_iters" in raw:
         raise ConfigError(f"{path}: key 'max_iters' sets the solver's budget, "
                           "and a real trial runs no solver")
-    return GridConfig(
-        case=scalar_kwargs.get("case", "complex"),
-        n_values=n_values,
-        sigmas=sigmas,
-        reps=scalar_kwargs.get("reps", 1),
-        seed_base=scalar_kwargs.get("seed_base", 0),
-        workers=scalar_kwargs.get("workers", 1),
-        out=scalar_kwargs.get("out", "grid.csv"),
-        max_iters=scalar_kwargs.get("max_iters", MAX_ITERS),
-    )
+    return GridConfig(n_values=n_values, sigmas=sigmas, **scalar_kwargs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasesync.hermitian import HermitianMatrix
-from phasesync.z2 import SignVector
+from phasesync.model import PhaseVector
 
 MAX_COMPLEX_N = 6
 MAX_REAL_N = 20
@@ -138,7 +138,7 @@ def brute_force_qp(
     return x, value, converged
 
 
-def brute_force_real(data: HermitianMatrix) -> tuple[SignVector, float]:
+def brute_force_real(data: HermitianMatrix) -> tuple[PhaseVector, float]:
     """Global maximum of ``x^T C x`` over sign vectors, by full enumeration
     with the first coordinate pinned to +1. Refuses n > 20."""
     n = data.n
@@ -162,4 +162,4 @@ def brute_force_real(data: HermitianMatrix) -> tuple[SignVector, float]:
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_row = signs[i].copy()
-    return SignVector(best_row), best_val
+    return PhaseVector(best_row), best_val

@@ -31,7 +31,6 @@ import numpy as np
 from phasesync.certificate import PSD_TOL, RANK_TOL, RESIDUAL_TOL, CertificateReport
 from phasesync.hermitian import HermitianMatrix, smallest_eigvals
 from phasesync.model import PhaseVector
-from phasesync.z2 import SignVector
 
 
 def jacobi_eigvalsh(mat: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> np.ndarray:
@@ -204,14 +203,15 @@ def power_iterates(mat: np.ndarray, x: np.ndarray, shift: float, steps: int):
     return x, 2.0 * float(np.sqrt(b.dot(b)))
 
 
-def real_certificate(signal: SignVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:
+def real_certificate(signal: PhaseVector, noise: HermitianMatrix, sigma: float) -> HermitianMatrix:
     """Closed-form dual certificate at the planted sign vector.
 
     Off the diagonal ``S = -z z^T - sigma W``; on it
     ``S_ii = n - 1 + sigma z_i (W z)_i``. The defining identity ``S z = 0``
     is asserted on every call (to ``1e-10 * n``): it holds for any signs,
     noise, and sigma, not just favorable draws. ``W`` must be real float64,
-    and so is ``S``; the checks are those of ``z2.planted_verdict``.
+    and so is ``S``; the noise and sigma checks are those of
+    ``z2.planted_verdict``.
     """
     if noise.n != signal.n:
         raise ValueError("signal and noise sizes disagree")

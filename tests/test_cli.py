@@ -365,6 +365,10 @@ class TestCheckNoise:
         code, out, _ = run_cli(capsys, "check-noise", "--n", "60", "--trials", "40",
                                "--seed", "1")
         assert code == 0
+        # The header is TailStats' field order, pinned here column by column.
+        assert out.splitlines()[0] == (
+            "n,trials,opnorm_exceed_freq,opnorm_threshold,opnorm_prob_bound,"
+            "inf_exceed_freq,inf_threshold,inf_prob_bound")
         row = parse_table(out)[0]
         assert row["n"] == "60"
         assert row["trials"] == "40"

@@ -18,8 +18,7 @@ from phasesync.experiment import (AGG_COLUMNS, CURVE_COLUMNS, TRIAL_COLUMNS,
                                   run_trial_detailed, trial_csv_row, write_curves)
 from phasesync import certificate, experiment, hermitian, model
 from phasesync.certificate import RANK_TOL
-from phasesync.model import (PhaseVector, assemble_instance, random_signal, sample_wigner,
-                             trial_seed)
+from phasesync.model import assemble_instance, random_signal, sample_wigner, trial_seed
 from phasesync.solver import solve_second_order
 from phasesync.z2 import random_signs, sample_real_wigner
 
@@ -146,6 +145,15 @@ out = g.csv
         cfg = parse_grid_config(_write_config(tmp_path, text))
         assert cfg.reps == 2
 
+    def test_defaults_come_from_grid_config(self, tmp_path):
+        # A key the file leaves out takes GridConfig's default, the values
+        # the README's config table lists.
+        text = "n_values = 10 15\nsigma_list = 0.1 0.5\n"
+        cfg = parse_grid_config(_write_config(tmp_path, text))
+        assert cfg == GridConfig(n_values=(10, 15), sigmas=(0.1, 0.5))
+        assert cfg == GridConfig(case="complex", n_values=(10, 15), sigmas=(0.1, 0.5), reps=1,
+                                 seed_base=0, workers=1, out="grid.csv", max_iters=500)
+
 
 class TestTrialRecords:
     def test_complex_trial_fields(self):
@@ -198,8 +206,7 @@ class TestTrialRecords:
     @pytest.mark.parametrize("n, sigma, seed", [(40, 1.0, 5), (60, 4.0, 8), (25, 0.0, 2)])
     def test_real_trial_cost_is_planted_quadratic_form(self, n, sigma, seed):
         rec = run_real_trial(n, sigma, seed)
-        z = PhaseVector(random_signs(n, seed).vec)
-        assert z.vec.dtype == np.float64
+        z = random_signs(n, seed)
         inst = assemble_instance(z, sample_real_wigner(n, seed), sigma, seed)
         assert rec.cost_z == pytest.approx(quad_form(inst.C, z.vec), rel=1e-14, abs=0.0)
 
@@ -621,6 +628,17 @@ class TestRunGrid:
         first = Path(cfg.out).read_bytes()
         run_grid(cfg)
         assert Path(cfg.out).read_bytes() == first
+
+    def test_creates_missing_output_directories(self, tmp_path, monkeypatch):
+        nested = tmp_path / "a" / "b" / "g.csv"
+        run_grid(self._config(tmp_path, case="real", n_values=(8,), sigmas=(0.2,), reps=1,
+                              out=str(nested)))
+        assert nested.exists() and nested.with_suffix(".agg.csv").exists()
+        # A bare file name writes to the working directory.
+        monkeypatch.chdir(tmp_path)
+        run_grid(self._config(tmp_path, case="real", n_values=(8,), sigmas=(0.2,), reps=1,
+                              out="bare.csv"))
+        assert (tmp_path / "bare.csv").exists()
 
     def test_agg_header(self, tmp_path):
         cfg = self._config(tmp_path, n_values=(8,), sigmas=(0.2,), reps=1)

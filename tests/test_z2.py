@@ -7,22 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesync.hermitian import HermitianMatrix, extreme_eigs
-from phasesync.z2 import SignVector, planted_verdict, random_signs, sample_real_wigner
+from phasesync.model import PhaseVector
+from phasesync.z2 import planted_verdict, random_signs, sample_real_wigner
 
 from reference import jacobi_eigvalsh, real_certificate, verdict_at
 
 
-class TestSignVector:
-    def test_accepts_signs(self):
-        v = SignVector(np.array([1.0, -1.0, 1.0]))
-        assert v.n == 3
+class TestSignSignal:
+    # The signs are a float64 PhaseVector; planted_verdict alone insists on
+    # exact signs, since its closed form needs z_i^2 = 1 exactly.
+    def test_random_signs_are_float64_phase_vector(self):
+        v = random_signs(40, 7)
+        assert isinstance(v, PhaseVector)
+        assert v.n == 40
+        assert v.vec.dtype == np.float64
+        assert np.all((v.vec == 1.0) | (v.vec == -1.0))
         assert not v.vec.flags.writeable
 
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            SignVector(np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            SignVector(np.array([1.0, 0.0]))
+    def test_planted_verdict_rejects_inexact_signs(self):
+        z = np.ones(8)
+        z[3] = 1.0 - 2.0 ** -44
+        near = PhaseVector(z)  # within the unit-modulus tolerance
+        with pytest.raises(ValueError, match="exactly"):
+            planted_verdict(near, sample_real_wigner(8, 1), 1.0)
+        # Entries off the unit circle never reach it: PhaseVector refuses them.
+        for bad in ([1.0, 0.5], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="unit modulus"):
+                PhaseVector(np.array(bad))
+
+    def test_planted_verdict_rejects_complex_signs(self):
+        z = PhaseVector(random_signs(8, 1).vec + 0j)
+        assert z.vec.dtype == np.complex128
+        with pytest.raises(ValueError, match="float64"):
+            planted_verdict(z, sample_real_wigner(8, 1), 1.0)
 
 
 class TestSampling:
@@ -61,7 +78,7 @@ class TestRealCertificate:
         # is an algebraic identity, so equality is exact entry by entry.
         n, sigma = 25, 1.7
         w = sample_real_wigner(n, 2)
-        ones = SignVector(np.ones(n))
+        ones = PhaseVector(np.ones(n))
         s = real_certificate(ones, w, sigma)
         w1 = (w.mat @ np.ones(n)).real
         ref = (n * np.eye(n) - np.ones((n, n))).astype(np.complex128) \
@@ -85,7 +102,7 @@ class TestRealCertificate:
         s = real_certificate(z, w, sigma)
         d = np.diag(z.vec)
         w_flipped = type(w)(d @ w.mat @ d)
-        ones = SignVector(np.ones(n))
+        ones = PhaseVector(np.ones(n))
         s_ref = real_certificate(ones, w_flipped, sigma)
         got = np.sort(np.linalg.eigvalsh(s.mat))
         ref = np.sort(np.linalg.eigvalsh(s_ref.mat))
